@@ -142,11 +142,17 @@ obs-smoke:
 		curl -fsS http://127.0.0.1:9193/statusz | grep -q "\"Decisions\""; \
 		curl -fsS http://127.0.0.1:9193/tracez | grep -q "\"sampled\""'
 
-# Native Go fuzzing of the wire and snapshot codecs, briefly (CI runs the same).
+# Native Go fuzzing of the wire and snapshot codecs, briefly (CI runs the same),
+# including the differential targets that pin each single-pass decoder to
+# the reflection decoder it replaced (FuzzWireDiff*).
 fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseBatchLine -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzOutcomeRoundTrip -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzParseControlLine -fuzztime 10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzWireDiffBatch -fuzztime 10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzWireDiffOutcome -fuzztime 10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzWireDiffSnapshot -fuzztime 10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzWireDiffControl -fuzztime 10s
 
 ci: vet lint escape-check build test race load-smoke cluster-smoke cluster-chaos-smoke obs-smoke fuzz-smoke

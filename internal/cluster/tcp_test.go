@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -354,8 +355,20 @@ func TestTCPClusterBackpressure(t *testing.T) {
 	for id := 0; id < 512; id++ {
 		rs = append(rs, serve.Report{Terminal: serve.TerminalID(id), Meas: testMeas(id)})
 	}
+	// Pace the loop to the healthy node: with QueueDepth 2 an unthrottled
+	// loop can out-run node 0's writer on a busy box, and BacklogError
+	// names the first node that shed.  The stalled node's queue never
+	// drains, so it still fills and sheds.
+	healthyDrained := func() {
+		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+			if router.Stats().Nodes[0].QueueDepth == 0 {
+				return
+			}
+		}
+	}
 	sawBacklog := false
 	for i := 0; i < 20000 && !sawBacklog; i++ {
+		healthyDrained()
 		err := router.TrySubmitBatch(rs)
 		if err == nil {
 			continue

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 
@@ -188,5 +190,55 @@ func TestServeSteadyStateBytesPerShardCount(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestIngestSteadyStateAllocs pins the daemon ingest path on terminals
+// the connection already owns — IngestLines → Binding.Submit →
+// Engine.SubmitBatch: past the per-connection setup, decoding, claiming
+// and submitting a report line allocates a small per-line constant that
+// does not grow with the batch size.  Terminal IDs start past 256, where
+// boxing a sync.Map key allocates (the claim fast path must not box).
+func TestIngestSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the regression runs in the non-race job")
+	}
+	mux := NewDecisionMux()
+	e, err := New(Config{Shards: 2, QueueDepth: 512, OnDecision: mux.Route})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	bnd := NewBinding(mux, NewSink(io.Discard))
+	reject := func(line int, err error) { t.Errorf("line %d: %v", line, err) }
+
+	// perLine measures the allocations one extra line of a batch-report
+	// stream costs: runs of 2n and n lines differ by n lines and share
+	// the per-call setup (reader, scanner, buffer growth).
+	perLine := func(batch int) float64 {
+		rs := steadyBatch(batch, batch)
+		for i := range rs {
+			rs[i].Terminal += 1000
+		}
+		line := AppendBatchJSON(nil, rs)
+		run := func(lines int) float64 {
+			input := bytes.Repeat(line, lines)
+			ingest := func() {
+				IngestLines(bytes.NewReader(input), bnd, e.SubmitBatch, nil, reject)
+				e.Flush()
+			}
+			ingest() // claim the terminals, warm the engine
+			return testing.AllocsPerRun(10, ingest)
+		}
+		const n = 16
+		return (run(2*n) - run(n)) / n
+	}
+	small, large := perLine(8), perLine(64)
+	t.Logf("allocations per line: %.2f (8 reports), %.2f (64 reports)", small, large)
+	if small > 1 || large > 1 {
+		t.Errorf("steady-state ingest allocates %.2f / %.2f per line (8 / 64 reports), want ≤ 1", small, large)
 	}
 }

@@ -137,6 +137,11 @@ type NodeClient struct {
 
 	wg sync.WaitGroup
 
+	// carry is a report line the writer took off the queue but could not
+	// put on the wire because the connection was already closed; the next
+	// connection sends it first.  Touched only by the run goroutine.
+	carry pendingLine
+
 	// ctlMu admits one control operation (Extract/Restore) at a time;
 	// pendMu guards the pending op the reader completes.
 	ctlMu  sync.Mutex
@@ -467,9 +472,23 @@ func (c *NodeClient) writeLoop(conn net.Conn, readerDone <-chan struct{}) (finis
 		// The line may partially reach the node on failure, where the
 		// fragment cannot parse as a complete report line; its reports
 		// are this connection's in-flight loss either way.
-		_, werr := conn.Write(p.line)
+		n, werr := conn.Write(p.line)
+		if n == 0 && p.n > 0 && errors.Is(werr, net.ErrClosed) {
+			// Closed before a byte left: the reports were never in
+			// flight, so they ride the next connection instead of being
+			// counted lost.  (A control line is not carried: its op
+			// fails with the connection.)
+			c.carry = p
+			return werr
+		}
 		c.written.Add(p.n)
 		return werr
+	}
+	if p := c.carry; p.n > 0 {
+		c.carry = pendingLine{}
+		if err := write(p); err != nil {
+			return false, err
+		}
 	}
 	idle := time.NewTimer(10 * time.Millisecond)
 	defer idle.Stop()
@@ -521,12 +540,15 @@ func (c *NodeClient) readLoop(conn net.Conn, done chan<- struct{}) {
 	defer close(done)
 	scanner := bufio.NewScanner(conn)
 	scanner.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	// Decision reasons repeat from a small vocabulary; interning them
+	// keeps the outcome decode allocation-free.
+	var reasons stringIntern
 	for scanner.Scan() {
 		if isControlLine(scanner.Bytes()) {
 			c.handleCtlLine(scanner.Bytes())
 			continue
 		}
-		w, err := ParseOutcomeLine(scanner.Bytes())
+		w, err := decodeOutcomeLine(scanner.Bytes(), &reasons)
 		if err != nil {
 			var we *WireError
 			if errors.As(err, &we) {
@@ -637,7 +659,8 @@ func (c *NodeClient) goDown(err error) {
 	c.fatalErr.Store(&err)
 	close(c.down)
 	c.mu.Lock()
-	var dropped uint64
+	dropped := c.carry.n
+	c.carry = pendingLine{}
 	for {
 		select {
 		case p := <-c.queue:

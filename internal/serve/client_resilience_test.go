@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bufio"
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -64,6 +66,58 @@ func contReports(terminals []uint64, from, n int) []Report {
 		streams = append(streams, s)
 	}
 	return InterleaveReports(streams)
+}
+
+// TestNodeClientCarriesUnsentLine pins the writer's accounting at a
+// local close: a report line taken off the queue after the connection was
+// closed never left, so it is not counted written (which would make it a
+// reconnect loss) but carried to the next connection and sent first.
+func TestNodeClientCarriesUnsentLine(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	dial := func() (client, server net.Conn) {
+		t.Helper()
+		client, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		server, err = ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return client, server
+	}
+	c := &NodeClient{queue: make(chan pendingLine, 1), down: make(chan struct{})}
+	line := pendingLine{line: []byte(`{"terminal":1}` + "\n"), n: 1}
+
+	dead, deadPeer := dial()
+	defer deadPeer.Close()
+	dead.Close()
+	c.queue <- line
+	if _, err := c.writeLoop(dead, make(chan struct{})); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("write on a closed connection: %v", err)
+	}
+	if w := c.written.Load(); w != 0 || c.carry.n != 1 {
+		t.Fatalf("after the failed write: written %d, carried %d reports; want 0 and 1", w, c.carry.n)
+	}
+
+	live, peer := dial()
+	defer live.Close()
+	defer peer.Close()
+	c.closing = true // the writer returns once the queue and the carry are empty
+	if finished, err := c.writeLoop(live, make(chan struct{})); !finished || err != nil {
+		t.Fatalf("writeLoop on the next connection: finished %v, %v", finished, err)
+	}
+	got, err := bufio.NewReader(peer).ReadString('\n')
+	if err != nil || got != string(line.line) {
+		t.Fatalf("next connection received %q, %v; want the carried line", got, err)
+	}
+	if w := c.written.Load(); w != 1 || c.carry.n != 0 {
+		t.Fatalf("after the resend: written %d, carried %d reports; want 1 and 0", w, c.carry.n)
+	}
 }
 
 // TestNodeClientIdentityTakeover is the end-to-end reconnect contract:

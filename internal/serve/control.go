@@ -199,55 +199,150 @@ func AppendControlJSON(dst []byte, c WireControl) []byte {
 	return append(dst, '}', '\n')
 }
 
+// controlKeys are the control fields in AppendControlJSON order.
+var controlKeys = newWireFields("ctl", "client", "schema", "addr", "node", "members", "vnodes", "self", "keep", "skip_live", "snapshots", "count", "stats", "error")
+
 // ParseControlLine decodes one control line, validating any embedded
 // snapshots (bad state is rejected at the wire, before it can reach an
-// engine).
+// engine).  Unknown keys are tolerated and syntax-checked.  The "stats"
+// object is the one value still decoded by encoding/json, because its
+// encoder is json.Marshal.
 //
 //fuzzyho:deterministic
 func ParseControlLine(line []byte) (WireControl, error) {
-	var aux struct {
-		Op        string         `json:"ctl"`
-		Client    string         `json:"client"`
-		Schema    uint64         `json:"schema"`
-		Addr      string         `json:"addr"`
-		Node      int            `json:"node"`
-		Members   []int          `json:"members"`
-		VNodes    int            `json:"vnodes"`
-		Self      int            `json:"self"`
-		Keep      bool           `json:"keep"`
-		SkipLive  bool           `json:"skip_live"`
-		Count     int            `json:"count"`
-		Snapshots []wireSnapshot `json:"snapshots"`
-		Stats     *WireStats     `json:"stats"`
-		Error     string         `json:"error"`
+	s := wireScanner{b: line}
+	var c WireControl
+	var seen uint32
+	var statsErr, snapErr error
+	ok := s.eatObject()
+	for first := true; ok; first = false {
+		var idx int
+		var end bool
+		if idx, end, ok = s.next(controlKeys, first, &seen); !ok || end {
+			break
+		}
+		switch idx {
+		case 0:
+			c.Op, ok = s.stringValue()
+		case 1:
+			c.Client, ok = s.stringValue()
+		case 2:
+			c.Schema, ok = s.uintValue()
+		case 3:
+			c.Addr, ok = s.stringValue()
+		case 4:
+			c.Node, ok = s.intValue()
+		case 5:
+			c.Members, ok = s.ints()
+		case 6:
+			c.VNodes, ok = s.intValue()
+		case 7:
+			c.Self, ok = s.intValue()
+		case 8:
+			c.Keep, ok = s.boolValue()
+		case 9:
+			c.SkipLive, ok = s.boolValue()
+		case 10:
+			c.Snapshots, snapErr, ok = s.snapshots()
+		case 11:
+			c.Count, ok = s.intValue()
+		case 12:
+			c.Stats, statsErr, ok = s.stats()
+		case 13:
+			c.Error, ok = s.stringValue()
+		default:
+			ok = s.skipValue(1)
+		}
 	}
-	if err := json.Unmarshal(trimSpace(line), &aux); err != nil {
-		return WireControl{}, fmt.Errorf("serve: malformed control line: %w", err)
+	if !ok || !s.end() {
+		return WireControl{}, s.malformed("control")
 	}
-	if aux.Op == "" {
+	if statsErr != nil {
+		return WireControl{}, fmt.Errorf("serve: malformed control line: %w", statsErr)
+	}
+	if c.Op == "" {
 		return WireControl{}, fmt.Errorf("serve: control line carries no op: %.200s", line)
 	}
-	c := WireControl{
-		Op:       aux.Op,
-		Client:   aux.Client,
-		Schema:   aux.Schema,
-		Addr:     aux.Addr,
-		Node:     aux.Node,
-		Members:  aux.Members,
-		VNodes:   aux.VNodes,
-		Self:     aux.Self,
-		Keep:     aux.Keep,
-		SkipLive: aux.SkipLive,
-		Count:    aux.Count,
-		Stats:    aux.Stats,
-		Error:    aux.Error,
-	}
-	for i, w := range aux.Snapshots {
-		s, err := w.snapshot()
-		if err != nil {
-			return WireControl{}, fmt.Errorf("serve: control snapshot %d: %w", i, err)
-		}
-		c.Snapshots = append(c.Snapshots, s)
+	if snapErr != nil {
+		return WireControl{}, snapErr
 	}
 	return c, nil
+}
+
+// ints decodes an int array as encoding/json fills a []int: null is a
+// nil slice, [] an empty non-nil one.
+func (s *wireScanner) ints() ([]int, bool) {
+	if present, ok := s.open('[', 1); !present {
+		return nil, ok
+	}
+	out := []int{}
+	for first := true; ; first = false {
+		end, ok := s.elem(first)
+		if !ok {
+			return nil, false
+		}
+		if end {
+			return out, true
+		}
+		v, ok := s.intValue()
+		if !ok {
+			return nil, false
+		}
+		out = append(out, v)
+	}
+}
+
+// snapshots decodes a "snapshots" chunk.  Each element is checked as it
+// is decoded; the first invalid one is reported after the whole line
+// has scanned (a malformed line outranks an invalid snapshot).  An
+// empty or null array decodes as nil.
+func (s *wireScanner) snapshots() (snaps []TerminalSnapshot, invalid error, ok bool) {
+	if present, ok := s.open('[', 1); !present {
+		return nil, nil, ok
+	}
+	s.evChunk = 256
+	var w snapshotScan
+	for n := 0; ; n++ {
+		end, ok := s.elem(n == 0)
+		if !ok {
+			return nil, nil, false
+		}
+		if end {
+			return snaps, invalid, true
+		}
+		if !s.snapshot(&w, 2) {
+			return nil, nil, false
+		}
+		if invalid != nil {
+			continue
+		}
+		if err := w.check(); err != nil {
+			invalid = fmt.Errorf("serve: control snapshot %d: %w", n, err)
+			continue
+		}
+		if snaps == nil {
+			// Size for a full chunk of encoder-shaped (≥128-byte) objects.
+			snaps = make([]TerminalSnapshot, 0, min(len(s.b)/128+1, snapshotChunk))
+		}
+		snaps = append(snaps, w.snap)
+	}
+}
+
+// stats decodes the "stats" object through encoding/json (its encoder
+// is json.Marshal).  The value is syntax-checked by the scan first; a
+// decode failure is returned as invalid so it reports as a malformed
+// line once the scan completes.
+func (s *wireScanner) stats() (st *WireStats, invalid error, ok bool) {
+	if s.peek() == 'n' {
+		return nil, nil, s.literal("null")
+	}
+	lo := s.i
+	if !s.skipValue(1) {
+		return nil, nil, false
+	}
+	st = new(WireStats)
+	if err := json.Unmarshal(s.b[lo:s.i], st); err != nil {
+		return nil, err, true
+	}
+	return st, nil, true
 }

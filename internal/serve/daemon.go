@@ -93,9 +93,13 @@ func (d *Daemon) init() {
 	})
 }
 
+// sinkFlushInterval is how often a connection's buffered decision
+// lines are pushed to the socket.  Control acks do not wait for it.
+const sinkFlushInterval = 50 * time.Millisecond
+
 // flushLoop periodically flushes a sink until stop closes.
 func flushLoop(s *Sink, stop <-chan struct{}) {
-	t := time.NewTicker(50 * time.Millisecond)
+	t := time.NewTicker(sinkFlushInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -267,8 +271,18 @@ func (d *Daemon) serveConn(conn net.Conn) {
 		}
 	}
 
-	IngestLines(conn, bnd, d.Submit, ctl, func(line int, err error) {
+	// Answer every control op at once rather than on the next flush
+	// tick: a migration's restore → release sequence waits on each ack.
+	// A rejected line (an unknown or malformed control op included) is
+	// answered too, so its error line is flushed the same way.
+	flushedCtl := func(c WireControl) error {
+		err := ctl(c)
+		out.Flush()
+		return err
+	}
+	IngestLines(conn, bnd, d.Submit, flushedCtl, func(line int, err error) {
 		out.WriteError(fmt.Errorf("line %d: %w", line, err))
+		out.Flush()
 	})
 	if err := d.Drain(); err != nil {
 		out.WriteError(fmt.Errorf("drain: %w", err))

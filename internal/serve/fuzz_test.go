@@ -21,6 +21,7 @@ func FuzzParseBatchLine(f *testing.F) {
 	f.Add([]byte(single))
 	f.Add([]byte("[" + single + "," + strings.Replace(single, `"terminal":7`, `"terminal":8`, 1) + "]"))
 	f.Add([]byte("  \t "))
+	f.Add([]byte(" [ ] "))
 	f.Add([]byte(`{"terminal":1,"serving":[0,0],"neighbor":[0,0]}`)) // serving == neighbor
 	f.Add([]byte(`[{"terminal":1,"serving":[0,0],"neighbor":[1,0],"dmb":-2},` + single + `]`))
 	f.Add([]byte(`{"terminal":1,"serving":[0,0],"neighbor":[1,0],"serving_db":1e999}`))
@@ -35,11 +36,10 @@ func FuzzParseBatchLine(f *testing.F) {
 	f.Add([]byte(`{"terminal":1,"serving":[0,0],"neighbor":[1,0],"rsrp":-90}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		reports, err := ParseBatchLine(line)
-		if err == nil && reports == nil && len(trimSpace(line)) != 0 {
+		if err == nil && len(reports) == 0 && len(trimSpace(line)) != 0 && !isEmptyJSONArray(line) {
 			// Non-blank lines either parse to reports or error; a silent
-			// nil/nil is only the blank-line contract.  (A parsed empty
-			// batch "[]" is also fine: len 0 but non-nil is not required.)
-			_ = reports
+			// nil/nil is only the blank-line and empty-batch contract.
+			t.Fatalf("line %q decoded to no reports and no error", line)
 		}
 		for i := range reports {
 			// Everything returned — full parse or validated prefix — must
@@ -64,6 +64,17 @@ func FuzzParseBatchLine(f *testing.F) {
 			}
 		}
 	})
+}
+
+// isEmptyJSONArray reports whether b is "[]" up to JSON whitespace.
+func isEmptyJSONArray(b []byte) bool {
+	var rest []byte
+	for _, c := range b {
+		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			rest = append(rest, c)
+		}
+	}
+	return string(rest) == "[]"
 }
 
 // FuzzSnapshotRoundTrip drives the terminal-snapshot codec with

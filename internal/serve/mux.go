@@ -229,7 +229,14 @@ func (b *Binding) Submit(rs []Report, submit func([]Report) error) error {
 // needed.  Called with b.mu held.
 func (b *Binding) bind(id TerminalID) error {
 	for {
-		cur, loaded := b.mux.claims.LoadOrStore(id, b)
+		// Load first: LoadOrStore may store its key, so boxing the ID
+		// allocates (for IDs ≥ 256) even when the claim exists, and the
+		// steady state re-binds terminals this connection already owns
+		// on every report.  Load's key does not escape.
+		cur, loaded := b.mux.claims.Load(id)
+		if !loaded {
+			cur, loaded = b.mux.claims.LoadOrStore(id, b)
+		}
 		if !loaded || cur == any(b) {
 			return nil
 		}
@@ -294,6 +301,9 @@ func (b *Binding) Release() {
 	})
 }
 
+// ingestBufMax bounds the report buffer IngestLines keeps between lines.
+const ingestBufMax = 4096
+
 // IngestLines reads newline-JSON lines from rd until EOF.  Report lines
 // claim their terminals for b and are forwarded through submit; control
 // lines (leading `{"ctl"`) are parsed and handed to ctl, which answers
@@ -303,9 +313,16 @@ func (b *Binding) Release() {
 // part-way is served up to the failing report: the validated prefix is
 // bound and submitted, and the error names the index where the rest was
 // dropped.  Returns lines read and lines (fully or partially) rejected.
+//
+// Report lines decode into one reused buffer, so steady-state ingest
+// does not allocate per line: submit must not retain the slice past its
+// return (every Submit implementation copies reports into its own
+// queues).  A buffer grown past ingestBufMax reports by one oversized
+// line is dropped rather than pinned for the connection's life.
 func IngestLines(rd io.Reader, b *Binding, submit func([]Report) error, ctl func(WireControl) error, reject func(line int, err error)) (lines, bad int) {
 	scanner := bufio.NewScanner(rd)
 	scanner.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	var reports []Report
 	for scanner.Scan() {
 		lines++
 		rejected := false
@@ -329,15 +346,18 @@ func IngestLines(rd io.Reader, b *Binding, submit func([]Report) error, ctl func
 			}
 			continue
 		}
-		reports, err := ParseBatchLine(scanner.Bytes())
+		var err error
+		reports, err = AppendBatchLine(reports[:0], scanner.Bytes())
 		if err != nil {
 			fail(err)
 		}
-		if len(reports) == 0 {
-			continue
+		if len(reports) > 0 {
+			if err := b.Submit(reports, submit); err != nil {
+				fail(err)
+			}
 		}
-		if err := b.Submit(reports, submit); err != nil {
-			fail(err)
+		if cap(reports) > ingestBufMax {
+			reports = nil
 		}
 	}
 	if err := scanner.Err(); err != nil {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -222,72 +221,181 @@ func appendSnapshotObj(dst []byte, s TerminalSnapshot) []byte {
 	return append(dst, '}')
 }
 
-// wireSnapshotEvent/wireSnapshot are the decode shapes of the snapshot
-// line.
-type wireSnapshotEvent struct {
-	From     [2]int  `json:"from"`
-	To       [2]int  `json:"to"`
-	WalkedKm float64 `json:"walked_km"`
+// snapshotKeys, eventKeys and trendKeys are the snapshot object's
+// fields in appendSnapshotObj order.
+var (
+	snapshotKeys = newWireFields("v", "terminal", "seq", "prev_db", "have_prev", "serving", "have_serving", "handovers", "pingpongs", "total_events", "events", "trend")
+	eventKeys    = newWireFields("from", "to", "walked_km")
+	trendKeys    = newWireFields("prev_ssn", "slope", "have")
+)
+
+// snapshotScan is one decoded snapshot object before its version and
+// validity checks: the header fields the checks need ride beside it.
+type snapshotScan struct {
+	snap      TerminalSnapshot
+	version   int
+	haveTrend bool
 }
 
-type wireSnapshot struct {
-	V           int                 `json:"v"`
-	Terminal    uint64              `json:"terminal"`
-	Seq         uint64              `json:"seq"`
-	PrevDB      float64             `json:"prev_db"`
-	HavePrev    bool                `json:"have_prev"`
-	Serving     [2]int              `json:"serving"`
-	HaveServing bool                `json:"have_serving"`
-	Handovers   uint64              `json:"handovers"`
-	PingPongs   uint64              `json:"pingpongs"`
-	TotalEvents uint64              `json:"total_events"`
-	Events      []wireSnapshotEvent `json:"events"`
-	Trend       *wireTrend          `json:"trend"`
+// check enforces version and validity.  A v1 object carrying a trend
+// object is rejected — trend state exists only under
+// SnapshotVersionTrend, and silently dropping it would skew the
+// restored terminal's decision stream.
+func (w *snapshotScan) check() error {
+	if w.version != SnapshotVersion && w.version != SnapshotVersionTrend {
+		return fmt.Errorf("serve: snapshot version %d not supported (this build speaks %d..%d)", w.version, SnapshotVersion, SnapshotVersionTrend)
+	}
+	if w.version == SnapshotVersion && w.haveTrend {
+		return fmt.Errorf("serve: snapshot version %d does not carry trend state", SnapshotVersion)
+	}
+	return w.snap.Validate()
 }
 
-// wireTrend is the decode shape of the v2 trend-derivation object.
-type wireTrend struct {
-	PrevSSN float64 `json:"prev_ssn"`
-	Slope   float64 `json:"slope"`
-	Have    bool    `json:"have"`
+// snapshot decodes one snapshot object into w (zeroed first), mirroring
+// appendSnapshotObj field for field; unknown keys are tolerated and
+// syntax-checked.  A null, as encoding/json reads it, leaves the zero
+// object (which then fails the version check).  depth is the nesting
+// depth of the container holding the object.
+func (s *wireScanner) snapshot(w *snapshotScan, depth int) bool {
+	*w = snapshotScan{}
+	if present, ok := s.open('{', depth); !present {
+		return ok
+	}
+	depth++
+	sn := &w.snap
+	var seen uint32
+	for first := true; ; first = false {
+		idx, end, ok := s.next(snapshotKeys, first, &seen)
+		if !ok || end {
+			return ok
+		}
+		var t uint64
+		switch idx {
+		case 0:
+			w.version, ok = s.intValue()
+		case 1:
+			t, ok = s.uintValue()
+			sn.Terminal = TerminalID(t)
+		case 2:
+			sn.Seq, ok = s.uintValue()
+		case 3:
+			sn.PrevDB, ok = s.floatValue()
+		case 4:
+			sn.HavePrev, ok = s.boolValue()
+		case 5:
+			ok = s.cellValue(&sn.Serving.I, &sn.Serving.J, depth)
+		case 6:
+			sn.HaveServing, ok = s.boolValue()
+		case 7:
+			sn.Handovers, ok = s.uintValue()
+		case 8:
+			sn.PingPongs, ok = s.uintValue()
+		case 9:
+			sn.TotalEvents, ok = s.uintValue()
+		case 10:
+			sn.Events, ok = s.events(depth)
+		case 11:
+			ok = s.trend(w, depth)
+		default:
+			ok = s.skipValue(depth)
+		}
+		if !ok {
+			return false
+		}
+	}
 }
 
-// snapshot converts the decode shape, enforcing version and validity.
-// A v1 line carrying a trend object is rejected — trend state exists
-// only under SnapshotVersionTrend, and silently dropping it would skew
-// the restored terminal's decision stream.
-func (w wireSnapshot) snapshot() (TerminalSnapshot, error) {
-	if w.V != SnapshotVersion && w.V != SnapshotVersionTrend {
-		return TerminalSnapshot{}, fmt.Errorf("serve: snapshot version %d not supported (this build speaks %d..%d)", w.V, SnapshotVersion, SnapshotVersionTrend)
+// events decodes the recent-handover ring into a capacity-capped slice
+// of its own (nil when empty or null), carved from the scanner's event
+// arena.  A null element is a zero event, as encoding/json decodes it.
+func (s *wireScanner) events(depth int) ([]SnapshotEvent, bool) {
+	if present, ok := s.open('[', depth); !present {
+		return nil, ok
 	}
-	if w.V == SnapshotVersion && w.Trend != nil {
-		return TerminalSnapshot{}, fmt.Errorf("serve: snapshot version %d does not carry trend state", SnapshotVersion)
+	depth++
+	var ring [pingPongHistory]SnapshotEvent
+	evs := ring[:0] // a valid snapshot's events fit; more spill to the heap
+	for first := true; ; first = false {
+		end, ok := s.elem(first)
+		if !ok {
+			return nil, false
+		}
+		if end {
+			break
+		}
+		evs = append(evs, SnapshotEvent{})
+		if !s.event(&evs[len(evs)-1], depth) {
+			return nil, false
+		}
 	}
-	s := TerminalSnapshot{
-		Terminal:    TerminalID(w.Terminal),
-		Seq:         w.Seq,
-		PrevDB:      w.PrevDB,
-		HavePrev:    w.HavePrev,
-		Serving:     hexgrid.Cell{I: w.Serving[0], J: w.Serving[1]},
-		HaveServing: w.HaveServing,
-		Handovers:   w.Handovers,
-		PingPongs:   w.PingPongs,
-		TotalEvents: w.TotalEvents,
+	if len(evs) == 0 {
+		return nil, true
 	}
-	if w.Trend != nil {
-		s.Trend = handover.TrendState{PrevSSN: w.Trend.PrevSSN, Slope: w.Trend.Slope, Have: w.Trend.Have}
+	if cap(s.evArena)-len(s.evArena) < len(evs) {
+		s.evArena = make([]SnapshotEvent, 0, max(len(evs), s.evChunk))
 	}
-	for _, e := range w.Events {
-		s.Events = append(s.Events, SnapshotEvent{
-			From:     hexgrid.Cell{I: e.From[0], J: e.From[1]},
-			To:       hexgrid.Cell{I: e.To[0], J: e.To[1]},
-			WalkedKm: e.WalkedKm,
-		})
+	lo := len(s.evArena)
+	s.evArena = append(s.evArena, evs...)
+	return s.evArena[lo:len(s.evArena):len(s.evArena)], true
+}
+
+// event decodes one ring entry (tolerating unknown keys).
+func (s *wireScanner) event(e *SnapshotEvent, depth int) bool {
+	if present, ok := s.open('{', depth); !present {
+		return ok
 	}
-	if err := s.Validate(); err != nil {
-		return TerminalSnapshot{}, err
+	depth++
+	var seen uint32
+	for first := true; ; first = false {
+		idx, end, ok := s.next(eventKeys, first, &seen)
+		if !ok || end {
+			return ok
+		}
+		switch idx {
+		case 0:
+			ok = s.cellValue(&e.From.I, &e.From.J, depth)
+		case 1:
+			ok = s.cellValue(&e.To.I, &e.To.J, depth)
+		case 2:
+			e.WalkedKm, ok = s.floatValue()
+		default:
+			ok = s.skipValue(depth)
+		}
+		if !ok {
+			return false
+		}
 	}
-	return s, nil
+}
+
+// trend decodes the v2 trend-derivation object; null means absent, as
+// for encoding/json's *struct.
+func (s *wireScanner) trend(w *snapshotScan, depth int) bool {
+	if present, ok := s.open('{', depth); !present {
+		return ok
+	}
+	depth++
+	w.haveTrend = true
+	tr := &w.snap.Trend
+	var seen uint32
+	for first := true; ; first = false {
+		idx, end, ok := s.next(trendKeys, first, &seen)
+		if !ok || end {
+			return ok
+		}
+		switch idx {
+		case 0:
+			tr.PrevSSN, ok = s.floatValue()
+		case 1:
+			tr.Slope, ok = s.floatValue()
+		case 2:
+			tr.Have, ok = s.boolValue()
+		default:
+			ok = s.skipValue(depth)
+		}
+		if !ok {
+			return false
+		}
+	}
 }
 
 // ParseSnapshotLine decodes and validates one snapshot line.  Unknown
@@ -297,11 +405,15 @@ func (w wireSnapshot) snapshot() (TerminalSnapshot, error) {
 //
 //fuzzyho:deterministic
 func ParseSnapshotLine(line []byte) (TerminalSnapshot, error) {
-	var w wireSnapshot
-	if err := json.Unmarshal(trimSpace(line), &w); err != nil {
-		return TerminalSnapshot{}, fmt.Errorf("serve: malformed snapshot line: %w", err)
+	s := wireScanner{b: line}
+	var w snapshotScan
+	if !s.snapshot(&w, 0) || !s.end() {
+		return TerminalSnapshot{}, s.malformed("snapshot")
 	}
-	return w.snapshot()
+	if err := w.check(); err != nil {
+		return TerminalSnapshot{}, err
+	}
+	return w.snap, nil
 }
 
 // WriteSnapshots writes the snapshots as newline-JSON, one line each —

@@ -1,10 +1,7 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"strconv"
 
@@ -15,7 +12,10 @@ import (
 
 // WireReport is the newline-JSON ingest format of one measurement report —
 // the over-the-wire shape of Report consumed by cmd/hoserve.  Cells are
-// [i, j] axial labels; power fields are dB.
+// [i, j] axial labels; power fields are dB.  The json tags name the wire
+// keys; the codec is hand-rolled (AppendReportJSON, ParseBatchLine), and
+// the type does not round-trip through encoding/json, which would encode
+// X as an array rather than the wire's "x" object.
 type WireReport struct {
 	Terminal   uint64  `json:"terminal"`
 	Serving    [2]int  `json:"serving"`
@@ -36,58 +36,6 @@ type WireReport struct {
 // byte-identical like every other codec here.  Decode rejects duplicate
 // names and non-number values; an empty object decodes to nil.
 type WireExt []handover.ExtValue
-
-// UnmarshalJSON decodes the extension object through the token stream,
-// which is the only stdlib path that sees object keys in wire order.
-func (x *WireExt) UnmarshalJSON(b []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.UseNumber()
-	tok, err := dec.Token()
-	if err != nil {
-		return err
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '{' {
-		return fmt.Errorf("serve: report field x must be an object")
-	}
-	var vals []handover.ExtValue
-	for dec.More() {
-		ktok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		k, _ := ktok.(string)
-		for _, v := range vals {
-			if v.Name == k {
-				return fmt.Errorf("serve: duplicate x extension feature %q", k)
-			}
-		}
-		vtok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		num, ok := vtok.(json.Number)
-		if !ok {
-			return fmt.Errorf("serve: x extension feature %q is not a number", k)
-		}
-		f, err := num.Float64()
-		if err != nil {
-			return fmt.Errorf("serve: x extension feature %q: %w", k, err)
-		}
-		vals = append(vals, handover.ExtValue{Name: k, Value: f})
-	}
-	if _, err := dec.Token(); err != nil { // consume the closing brace
-		return err
-	}
-	*x = vals
-	return nil
-}
-
-// MarshalJSON mirrors the hand-rolled appendExtJSON encoding for callers
-// that marshal a WireReport through the stdlib.
-func (x WireExt) MarshalJSON() ([]byte, error) {
-	b := appendExtObj(nil, x)
-	return b, nil
-}
 
 // WireOutcome is the newline-JSON decision format cmd/hoserve emits.
 // Score is meaningful only when Scored is set: the pair distinguishes a
@@ -196,53 +144,217 @@ func (w WireReport) Validate() error {
 //
 //fuzzyho:deterministic
 func ParseBatchLine(line []byte) ([]Report, error) {
-	trimmed := trimSpace(line)
-	if len(trimmed) == 0 {
-		return nil, nil
+	// One allocation per line, sized for the encoder's ~190-byte reports.
+	rs, err := AppendBatchLine(make([]Report, 0, min(len(line)/128+1, ingestBufMax)), line)
+	if len(rs) == 0 {
+		rs = nil // no reports is nil, whether the line was blank, empty or rejected
 	}
-	var raws []json.RawMessage
-	if trimmed[0] == '[' {
-		if err := json.Unmarshal(trimmed, &raws); err != nil {
-			return nil, fmt.Errorf("serve: malformed batch line: %w", err)
-		}
-	} else {
-		var w WireReport
-		if err := unmarshalReportStrict(trimmed, &w); err != nil {
-			return nil, fmt.Errorf("serve: malformed report line: %w", err)
-		}
-		if err := w.Validate(); err != nil {
-			return nil, fmt.Errorf("report 0: %w (0 of 1 validated)", err)
-		}
-		return []Report{w.Report()}, nil
-	}
-	out := make([]Report, 0, len(raws))
-	for i, raw := range raws {
-		var w WireReport
-		if err := unmarshalReportStrict(raw, &w); err != nil {
-			return out, fmt.Errorf("report %d: %w (%d of %d validated)", i, err, len(out), len(raws))
-		}
-		if err := w.Validate(); err != nil {
-			return out, fmt.Errorf("report %d: %w (%d of %d validated)", i, err, len(out), len(raws))
-		}
-		out = append(out, w.Report())
-	}
-	return out, nil
+	return rs, err
 }
 
-// unmarshalReportStrict decodes one report object rejecting unknown
-// top-level fields and trailing data.
+// AppendBatchLine is ParseBatchLine into a caller-owned buffer: it
+// appends the line's reports (or, on error, its validated prefix) to dst
+// and returns the extended slice.  Reusing dst across lines makes the
+// decode allocation-free for reports without an "x" object.  A decoded
+// report shares no memory with line or with dst's previous contents:
+// "x" extension values get fresh backing arrays, because submitters
+// copy reports shallowly and may retain them past the next decode.
 //
+//fuzzyho:hotpath
 //fuzzyho:deterministic
-func unmarshalReportStrict(data []byte, w *WireReport) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(w); err != nil {
-		return err
+func AppendBatchLine(dst []Report, line []byte) ([]Report, error) {
+	s := wireScanner{b: line}
+	base := len(dst)
+	if s.ws(); s.i == len(line) {
+		return dst, nil
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("trailing data after report object")
+	if line[s.i] != '[' {
+		dst = append(dst, Report{})
+		r := &dst[base]
+		if (s.peek() == 'n' && s.literal("null") || s.report(r, 0)) && s.end() && reportValid(r) {
+			return dst, nil
+		}
+		//fuzzyho:allow cold reject path: renders the error once per rejected line
+		return dst[:base], s.singleReject(r)
 	}
-	return nil
+	s.i++
+	for n := 0; ; n++ {
+		end, ok := s.elem(n == 0)
+		if !ok {
+			break
+		}
+		if end {
+			if s.end() {
+				return dst, nil
+			}
+			break
+		}
+		start := s.i
+		dst = append(dst, Report{})
+		r := &dst[len(dst)-1]
+		if !s.report(r, 1) || !reportValid(r) {
+			//fuzzyho:allow cold reject path: renders the error and syntax-checks the rest of the line once per rejected line
+			return s.batchReject(dst[:len(dst)-1], base, n, start, r)
+		}
+	}
+	//fuzzyho:allow cold reject path: renders the error once per malformed line
+	return dst[:base], s.malformed("batch")
+}
+
+// singleReject renders the failure of a bare-report line: a decode
+// failure rejects the line as malformed, a validation failure names
+// report 0.
+func (s *wireScanner) singleReject(r *Report) error {
+	if s.fail != scanOK {
+		return s.malformed("report")
+	}
+	return fmt.Errorf("report 0: %w (0 of 1 validated)", r.Wire().Validate())
+}
+
+// batchReject finishes a batch line whose report n failed — r is its
+// slot, start its offset.  The rest of the line is still syntax-checked
+// (a malformed line yields no reports at all) and counted for the error
+// text; dst holds the validated prefix.
+func (s *wireScanner) batchReject(dst []Report, base, n, start int, r *Report) ([]Report, error) {
+	if s.syntaxFailed() {
+		return dst[:base], s.malformed("batch")
+	}
+	var cause error
+	if s.fail != scanOK {
+		cause = s.scanError()
+		s.fail, s.i = scanOK, start
+		if !s.skipValue(1) {
+			return dst[:base], s.malformed("batch")
+		}
+	} else {
+		cause = r.Wire().Validate()
+	}
+	total := n + 1
+	for {
+		end, ok := s.elem(false)
+		if !ok {
+			return dst[:base], s.malformed("batch")
+		}
+		if end {
+			break
+		}
+		if !s.skipValue(1) {
+			return dst[:base], s.malformed("batch")
+		}
+		total++
+	}
+	if !s.end() {
+		return dst[:base], s.malformed("batch")
+	}
+	return dst, fmt.Errorf("report %d: %w (%d of %d validated)", n, cause, len(dst)-base, total)
+}
+
+// malformed renders a scan failure as a whole-line reject.
+func (s *wireScanner) malformed(what string) error {
+	return fmt.Errorf("serve: malformed %s line: %w", what, s.scanError())
+}
+
+// reportKeys are the report fields in AppendReportJSON order.
+var reportKeys = newWireFields("terminal", "serving", "neighbor", "serving_db", "ssn_db", "cssp_db", "dmb", "walked_km", "speed_kmh", "x")
+
+// report decodes one report object into r (which it zeroes first),
+// mirroring AppendReportJSON field for field.  Unknown keys reject the
+// report; depth is the nesting depth of the container holding it.
+//
+//fuzzyho:hotpath
+//fuzzyho:deterministic
+func (s *wireScanner) report(r *Report, depth int) bool {
+	*r = Report{}
+	if s.peek() != '{' {
+		return s.typeFail()
+	}
+	s.i++
+	m := &r.Meas
+	var seen uint32
+	for first := true; ; first = false {
+		idx, end, ok := s.next(reportKeys, first, &seen)
+		if !ok || end {
+			return ok
+		}
+		var t uint64
+		switch idx {
+		case 0:
+			t, ok = s.uintValue()
+			r.Terminal = TerminalID(t)
+		case 1:
+			ok = s.cellValue(&m.Serving.I, &m.Serving.J, depth+1)
+		case 2:
+			ok = s.cellValue(&m.Neighbor.I, &m.Neighbor.J, depth+1)
+		case 3:
+			m.ServingDB, ok = s.floatValue()
+		case 4:
+			m.NeighborDB, ok = s.floatValue()
+		case 5:
+			m.CSSPdB, ok = s.floatValue()
+		case 6:
+			m.DMBNorm, ok = s.floatValue()
+		case 7:
+			m.WalkedKm, ok = s.floatValue()
+		case 8:
+			m.SpeedKmh, ok = s.floatValue()
+		case 9:
+			//fuzzyho:allow "x" objects allocate their own backing array and names: decoded reports must not share storage with a reused buffer
+			r.Ext, ok = s.extObject(depth + 1)
+		default:
+			ok = s.failAt(scanUnknown, s.klo, s.khi)
+		}
+		if !ok {
+			return false
+		}
+	}
+}
+
+// extObject decodes the "x" extension object in arrival order into a
+// freshly allocated slice (nil when empty).  Names must be unique and
+// values numbers, as appendExtObj writes them.
+func (s *wireScanner) extObject(depth int) ([]handover.ExtValue, bool) {
+	if s.peek() != '{' {
+		return nil, s.failAt(scanXShape, s.i, s.i)
+	}
+	if depth+1 > maxScanDepth {
+		return nil, s.failAt(scanSyntax, s.i, s.i+1)
+	}
+	s.i++
+	var ext []handover.ExtValue
+	var seen uint32
+	for first := true; ; first = false {
+		_, end, ok := s.next(anyFields, first, &seen)
+		if !ok || end {
+			return ext, ok
+		}
+		name := string(s.keyBytes())
+		for _, e := range ext {
+			if e.Name == name {
+				return nil, s.failAt(scanXDup, s.klo, s.khi)
+			}
+		}
+		if c := s.peek(); c != '-' && (c < '0' || c > '9') {
+			return nil, s.failAt(scanXValue, s.klo, s.khi)
+		}
+		v, ok := s.floatValue()
+		if !ok {
+			return nil, false
+		}
+		ext = append(ext, handover.ExtValue{Name: name, Value: v})
+	}
+}
+
+// reportValid is WireReport.Validate without the error, for decoded
+// reports: the decode hot path checks with it and renders Validate's
+// error only on rejection.  The scanner already guarantees Validate's
+// other rules — its floats are finite (out-of-range numbers fail to
+// decode) and its "x" names unique.
+//
+//fuzzyho:hotpath
+//fuzzyho:deterministic
+func reportValid(r *Report) bool {
+	m := &r.Meas
+	return m.DMBNorm >= 0 && m.WalkedKm >= 0 && m.SpeedKmh >= 0 && m.Serving != m.Neighbor
 }
 
 // trimSpace strips ASCII whitespace without allocating.
@@ -382,42 +494,82 @@ func (e *WireError) Error() string { return e.Msg }
 // carrying a terminal decode into a WireOutcome; line-level error messages
 // (no "terminal" key) decode into a *WireError so clients can tell "a
 // report was decided, possibly with an algorithm error" from "an ingest
-// line was rejected and its reports will never be decided".  One JSON
-// parse per line — this sits on the cluster read hot path.
+// line was rejected and its reports will never be decided".  One pass
+// per line — this sits on the cluster read hot path.
 //
 //fuzzyho:deterministic
 func ParseOutcomeLine(line []byte) (WireOutcome, error) {
-	var aux struct {
-		Terminal *uint64 `json:"terminal"` // pointer: presence distinguishes reject lines
-		Seq      uint64  `json:"seq"`
-		Handover bool    `json:"handover"`
-		Score    float64 `json:"score"`
-		Scored   bool    `json:"scored"`
-		Reason   string  `json:"reason"`
-		Executed bool    `json:"executed"`
-		PingPong bool    `json:"pingpong"`
-		Error    string  `json:"error"`
-	}
-	if err := json.Unmarshal(line, &aux); err != nil {
-		return WireOutcome{}, fmt.Errorf("serve: malformed outcome line: %w", err)
-	}
-	if aux.Terminal == nil {
-		if aux.Error != "" {
-			return WireOutcome{}, &WireError{Msg: aux.Error}
+	return decodeOutcomeLine(line, nil)
+}
+
+// outcomeKeys are the outcome fields in AppendOutcomeJSON order.
+var outcomeKeys = newWireFields("terminal", "seq", "handover", "score", "scored", "reason", "executed", "pingpong", "error")
+
+// decodeOutcomeLine is ParseOutcomeLine with an optional intern table
+// for reason strings: a NodeClient reader passes its own, so decoding
+// its steady stream of outcomes does not allocate.  Unknown keys are
+// tolerated (and syntax-checked).
+//
+//fuzzyho:hotpath
+//fuzzyho:deterministic
+func decodeOutcomeLine(line []byte, reasons *stringIntern) (WireOutcome, error) {
+	s := wireScanner{b: line}
+	var w WireOutcome
+	var seen uint32
+	ok := s.eatObject()
+	for first := true; ok; first = false {
+		var idx int
+		var end bool
+		if idx, end, ok = s.next(outcomeKeys, first, &seen); !ok || end {
+			break
 		}
-		return WireOutcome{}, fmt.Errorf("serve: outcome line carries no terminal: %.200s", line)
+		var str []byte
+		switch idx {
+		case 0:
+			w.Terminal, ok = s.uintValue()
+		case 1:
+			w.Seq, ok = s.uintValue()
+		case 2:
+			w.Handover, ok = s.boolValue()
+		case 3:
+			w.Score, ok = s.floatValue()
+		case 4:
+			w.Scored, ok = s.boolValue()
+		case 5:
+			if str, ok = s.strValue(); ok {
+				w.Reason = reasons.intern(str)
+			}
+		case 6:
+			w.Executed, ok = s.boolValue()
+		case 7:
+			w.PingPong, ok = s.boolValue()
+		case 8:
+			if str, ok = s.strValue(); ok && len(str) > 0 {
+				//fuzzyho:allow algorithm errors are rare and carry free text
+				w.Error = string(str)
+			}
+		default:
+			ok = s.skipValue(1)
+		}
 	}
-	return WireOutcome{
-		Terminal: *aux.Terminal,
-		Seq:      aux.Seq,
-		Handover: aux.Handover,
-		Score:    aux.Score,
-		Scored:   aux.Scored,
-		Reason:   aux.Reason,
-		Executed: aux.Executed,
-		PingPong: aux.PingPong,
-		Error:    aux.Error,
-	}, nil
+	if !ok || !s.end() {
+		//fuzzyho:allow cold reject path: renders the error once per malformed line
+		return WireOutcome{}, s.malformed("outcome")
+	}
+	if seen&1 == 0 {
+		//fuzzyho:allow line-level rejects are the cold path of the outcome stream
+		return WireOutcome{}, outcomeReject(w.Error, line)
+	}
+	return w, nil
+}
+
+// outcomeReject renders a terminal-free outcome line: a daemon's
+// line-level reject decodes as *WireError, anything else is malformed.
+func outcomeReject(msg string, line []byte) error {
+	if msg != "" {
+		return &WireError{Msg: msg}
+	}
+	return fmt.Errorf("serve: outcome line carries no terminal: %.200s", line)
 }
 
 // Outcome converts the wire shape back to the engine's outcome type.  The
