@@ -77,7 +77,9 @@ cluster-smoke:
 
 # Race-enabled membership chaos: kill/restart and leave/join of TCP nodes
 # mid-replay (state migrating over the wire), the ROUTER itself killed
-# mid-migration and restarted from its intent journal, submissions
+# at each phase of an addnode and a removenode and restarted from its
+# intent journal, addnode/removenode rolled back by a failing restore
+# (including the orphan quarantine), submissions
 # overlapping an in-flight migration, membership ops over the wire
 # control plane, the reconnect-vs-drain takeover regression, and the
 # hoload -churn path growing and shrinking an in-process cluster under
@@ -88,7 +90,7 @@ cluster-smoke:
 # recovering the changed membership.
 cluster-chaos-smoke:
 	$(GO) test -race -count=1 \
-		-run 'TestTCPMembershipEquivalence|TestTCPNodeKillRestartRecovers|TestTCPRouterKillRestartResumesFromJournal|TestLocalMembershipEquivalence|TestLocalMigrationOverlapsSubmissions|TestDaemonMembershipCtlOps|TestBindingTakeoverByIdentity|TestNodeClientIdentityTakeover' \
+		-run 'TestTCPMembershipEquivalence|TestTCPNodeKillRestartRecovers|TestTCPRouterKillRestartResumesFromJournal|TestLocalMembershipEquivalence|TestLocalMigrationOverlapsSubmissions|TestLocalMembershipRollback|TestLocalRollbackQuarantinesOrphans|TestDaemonMembershipCtlOps|TestBindingTakeoverByIdentity|TestNodeClientIdentityTakeover' \
 		./internal/cluster ./internal/serve
 	$(GO) run -race ./cmd/hoload -terminals 256 -shards 2 -cluster 2 -duration 1s -churn 250ms -replicas 2 -speeds 0,30 -compiled
 	$(GO) build -o /tmp/fuzzyho-hoserve ./cmd/hoserve

@@ -172,16 +172,8 @@ func main() {
 			return 0, fmt.Errorf("addnode: unsupported router backend")
 		}
 	}
-	removeNode := func(node int) error {
-		switch r := router.(type) {
-		case *cluster.TCP:
-			return r.RemoveNode(node)
-		case *cluster.Local:
-			return r.RemoveNode(node)
-		default:
-			return fmt.Errorf("removenode: unsupported router backend")
-		}
-	}
+	// Both backends share the router's RemoveNode.
+	removeNode := router.(interface{ RemoveNode(int) error }).RemoveNode
 
 	if *snapEvery > 0 || *snapDecide > 0 {
 		l := router.(*cluster.Local) // -local enforced above

@@ -24,8 +24,9 @@
 //	//fuzzyho:hotpath        this function is on the 0-alloc serve path
 //	//fuzzyho:deterministic  this function feeds decision sequences or
 //	                         wire bytes
-//	//fuzzyho:nolockio       this function runs while holding TCP.memMu /
-//	                         the ring-flip lock
+//	//fuzzyho:nolockio       this function runs while holding the cluster
+//	                         router's memMu (ringRouter.memMu), the
+//	                         ring-flip lock
 //	//fuzzyho:allow <why>    suppress findings on the annotated line
 //	                         (the justification string is mandatory)
 //	//fuzzyho:wirepair parse=P fuzz=F   explicit encoder/decoder pairing

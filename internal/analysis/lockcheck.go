@@ -8,8 +8,8 @@ import (
 
 // LockcheckAnalyzer enforces the no-blocking-I/O-under-the-membership-
 // lock invariant on functions annotated //fuzzyho:nolockio: everything
-// that runs while holding TCP.memMu / Local.memMu (the ring-flip lock)
-// or inside a paused shard.  The two-phase migration rework exists
+// that runs while holding the cluster router's memMu (ringRouter.memMu,
+// the ring-flip lock both backends share) or inside a paused shard.  The two-phase migration rework exists
 // precisely because blocking under that lock stalls every submitter; the
 // runtime guard is the -race chaos smoke, which only catches the
 // schedules it happens to drive.
@@ -24,7 +24,10 @@ import (
 // Limitations, by design: calls through interfaces other than net.Conn
 // and through func values are not resolved (the migration hooks are
 // exercised by the chaos tests instead), and sends inside any select are
-// considered bounded by the select's alternatives.
+// considered bounded by the select's alternatives.  The router reaches
+// its nodes through the cluster node interface, so each implementation's
+// submit/trySubmit/stats carries its own nolockio annotation and is
+// audited directly.
 var LockcheckAnalyzer = &Analyzer{
 	Name: "lockcheck",
 	Doc:  "forbid blocking I/O reachable from //fuzzyho:nolockio functions",
@@ -172,7 +175,7 @@ func runLockcheck(pass *Pass) error {
 				return false
 			case *ast.SendStmt:
 				if selectDepth == 0 {
-					pass.Reportf(n.Pos(), "unbounded channel send in %s, annotated //fuzzyho:nolockio (runs under TCP.memMu / the ring-flip lock): a full channel would stall every submitter and the membership change itself — the failure class the two-phase migration was rebuilt to remove", name)
+					pass.Reportf(n.Pos(), "unbounded channel send in %s, annotated //fuzzyho:nolockio (runs under ringRouter.memMu, the ring-flip lock): a full channel would stall every submitter and the membership change itself — the failure class the two-phase migration was rebuilt to remove", name)
 				}
 			case *ast.CallExpr:
 				kind, obj := callee(pkg.Info, n)
@@ -181,11 +184,11 @@ func runLockcheck(pass *Pass) error {
 				}
 				fn := obj.(*types.Func)
 				if why, ok := blockingFuncs[fn.FullName()]; ok {
-					pass.Reportf(n.Pos(), "%s (%s) in %s, annotated //fuzzyho:nolockio (runs under TCP.memMu / the ring-flip lock): blocking under the membership lock stalls every submitter until the peer answers", why, fn.FullName(), name)
+					pass.Reportf(n.Pos(), "%s (%s) in %s, annotated //fuzzyho:nolockio (runs under ringRouter.memMu, the ring-flip lock): blocking under the membership lock stalls every submitter until the peer answers", why, fn.FullName(), name)
 					return true
 				}
 				if r, ok := lookup(fn); ok {
-					pass.Reportf(n.Pos(), "%s, annotated //fuzzyho:nolockio (runs under TCP.memMu / the ring-flip lock), reaches blocking I/O: %s → %s", name, funcDisplayName(fn), r)
+					pass.Reportf(n.Pos(), "%s, annotated //fuzzyho:nolockio (runs under ringRouter.memMu, the ring-flip lock), reaches blocking I/O: %s → %s", name, funcDisplayName(fn), r)
 				}
 			}
 			return true

@@ -30,10 +30,14 @@ func TestTCPRouterKillRestartResumesFromJournal(t *testing.T) {
 	ref := runSingleEngine(t, single, reports, terminals)
 	nodeCfg := serve.Config{Shards: 2, QueueDepth: 64, Compiled: true, PingPongWindowKm: sim.DefaultPingPongWindowKm}
 
+	removeNode1 := func(r *TCP, _ string) error { return r.RemoveNode(1) }
 	cases := []struct {
 		name        string
 		crashAt     string // phase boundary where the router "dies"
 		wantMembers []int
+		// change is the membership change the router dies inside (nil:
+		// AddNode of the third daemon).
+		change func(r *TCP, joinAddr string) error
 	}{
 		// Died after copies landed but before the cutover record: the
 		// restarted router must reclaim the copies and keep the old ring.
@@ -41,6 +45,15 @@ func TestTCPRouterKillRestartResumesFromJournal(t *testing.T) {
 		// Died after the cutover record became durable: the restarted
 		// router must finish the join and route to the new member.
 		{name: "crash-after-cutover-rolls-forward", crashAt: "cutover", wantMembers: []int{0, 1, 2}},
+		// Died before anything moved, and after every source released
+		// but before the cutover record: both roll back.
+		{name: "addnode-crash-at-copy-rolls-back", crashAt: "copy", wantMembers: []int{0, 1}},
+		{name: "addnode-crash-at-pre-cutover-rolls-back", crashAt: "pre-cutover", wantMembers: []int{0, 1}},
+		// The removenode branch of recovery: copies landed on the
+		// survivor but no cutover record rolls back; a durable cutover
+		// finishes dropping the departing member.
+		{name: "removenode-crash-before-cutover-rolls-back", crashAt: "restored", wantMembers: []int{0, 1}, change: removeNode1},
+		{name: "removenode-crash-after-cutover-rolls-forward", crashAt: "cutover", wantMembers: []int{0}, change: removeNode1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,9 +92,13 @@ func TestTCPRouterKillRestartResumesFromJournal(t *testing.T) {
 			// "Kill" the router at the phase boundary: the migration is
 			// abandoned with no rollback and no journal truncation, exactly
 			// the state a SIGKILL would leave behind.
-			router1.crashPoint = func(phase string) bool { return phase == tc.crashAt }
-			if _, err := router1.AddNode(addr2); !errors.Is(err, errMigrationAbandoned) {
-				t.Fatalf("AddNode with crash at %q = %v, want errMigrationAbandoned", tc.crashAt, err)
+			router1.phaseHook = func(phase string) bool { return phase == tc.crashAt }
+			change := tc.change
+			if change == nil {
+				change = func(r *TCP, joinAddr string) error { _, err := r.AddNode(joinAddr); return err }
+			}
+			if err := change(router1, addr2); !errors.Is(err, errMigrationAbandoned) {
+				t.Fatalf("membership change with crash at %q = %v, want errMigrationAbandoned", tc.crashAt, err)
 			}
 			tot1 := router1.Stats().Totals()
 			if err := router1.Close(); err != nil {
@@ -192,11 +209,12 @@ func TestLocalMigrationOverlapsSubmissions(t *testing.T) {
 	// Freeze AddNode at the copy phase so the migration window stays open
 	// while we probe it.
 	entered, hold := make(chan struct{}), make(chan struct{})
-	l.migHook = func(phase string) {
+	l.phaseHook = func(phase string) bool {
 		if phase == "copy" {
 			close(entered)
 			<-hold
 		}
+		return false
 	}
 	addErr := make(chan error, 1)
 	go func() {

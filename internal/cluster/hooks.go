@@ -70,3 +70,12 @@ func MigrationHooks(e *serve.Engine) (
 	}
 	return extract, restore, release
 }
+
+func contains(xs []int, x int) bool {
+	for _, v := range xs {
+		if v == x {
+			return true
+		}
+	}
+	return false
+}

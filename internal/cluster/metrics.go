@@ -107,14 +107,12 @@ type NodeScrape struct {
 // member's node ID, so the merged set is safe to serve from one
 // /metrics endpoint.
 func (t *TCP) ScrapeStats(timeout time.Duration) []NodeScrape {
-	t.memMu.RLock()
-	nodes := t.sortedNodes()
-	t.memMu.RUnlock()
-	out := make([]NodeScrape, 0, len(nodes))
-	for _, n := range nodes {
-		sc := NodeScrape{Node: n.id, Addr: n.addr}
-		sc.Stats, sc.Err = n.client.Stats(timeout)
-		id := strconv.Itoa(n.id)
+	ids, cs := t.clients()
+	out := make([]NodeScrape, 0, len(ids))
+	for i, c := range cs {
+		sc := NodeScrape{Node: ids[i], Addr: c.addr}
+		sc.Stats, sc.Err = c.client.Stats(timeout)
+		id := strconv.Itoa(ids[i])
 		for i := range sc.Stats.Points {
 			sc.Stats.Points[i] = sc.Stats.Points[i].WithLabel("node", id)
 		}

@@ -16,7 +16,7 @@ import (
 // blocking submits are exempt — they already accepted backpressure).
 const DefaultMigrateBufferCap = 1 << 16
 
-// errMigrationAbandoned is what the crashPoint test hook turns a
+// errMigrationAbandoned is what the phaseHook test hook turns a
 // migration into: the router walks away mid-change exactly as a killed
 // process would — no rollback, no journal truncation — so recovery
 // tests can replay the journal from a realistic half-done state.
@@ -90,8 +90,8 @@ func (m *migration) intercept(rs []serve.Report) []serve.Report {
 }
 
 // interceptTry is intercept for the fail-fast path: moving reports past
-// the buffer cap are shed (counted, with the destination node of the
-// first shed report) instead of growing the buffer unboundedly.  Only
+// the buffer cap are shed (counted, with the lowest destination node of
+// the shed reports) instead of growing the buffer unboundedly.  Only
 // this call's own reports are ever shed — reports a blocking submit
 // already buffered were accepted and stay accepted.
 //
@@ -118,8 +118,8 @@ func (m *migration) interceptTry(rs []serve.Report) (rest []serve.Report, shed i
 		}
 		if len(m.buf) >= m.cap {
 			shed++
-			if node < 0 {
-				node = m.newRing.NodeOf(r.Terminal)
+			if d := m.newRing.NodeOf(r.Terminal); node < 0 || d < node {
+				node = d
 			}
 			continue
 		}
