@@ -60,7 +60,8 @@ load-smoke:
 # Short end-to-end run through the multi-node cluster router: in-process
 # replay, then the full TCP wire path (2 hoserve daemons + hocluster).
 # The wire leg runs in one shell with an EXIT trap so the background
-# daemons are killed even when a step fails mid-way.
+# daemons are killed even when a step fails mid-way, and checks that
+# exactly one decision line per report (terminals 1 and 2) comes back.
 cluster-smoke:
 	$(GO) run ./cmd/hoload -terminals 256 -shards 2 -cluster 2 -duration 500ms -replicas 2 -speeds 0,30 -compiled
 	$(GO) build -o /tmp/fuzzyho-hoserve ./cmd/hoserve
@@ -70,10 +71,14 @@ cluster-smoke:
 		/tmp/fuzzyho-hoserve -listen 127.0.0.1:7192 -compiled & N2=$$!; \
 		trap "kill $$N1 $$N2 2>/dev/null || true" EXIT; \
 		sleep 1; \
-		printf "%s\n%s\n" \
+		OUT=$$(printf "%s\n%s\n" \
 			"{\"terminal\":1,\"serving\":[0,0],\"neighbor\":[1,0],\"serving_db\":-88.5,\"ssn_db\":-84.0,\"cssp_db\":-2.5,\"dmb\":1.1,\"walked_km\":3.2,\"speed_kmh\":30}" \
 			"{\"terminal\":2,\"serving\":[0,0],\"neighbor\":[1,0],\"serving_db\":-90,\"ssn_db\":-83.0,\"cssp_db\":-1.5,\"dmb\":1.0,\"walked_km\":1.2,\"speed_kmh\":10}" \
-			| /tmp/fuzzyho-hocluster -nodes 127.0.0.1:7191,127.0.0.1:7192'
+			| /tmp/fuzzyho-hocluster -nodes 127.0.0.1:7191,127.0.0.1:7192); \
+		echo "$$OUT"; \
+		test "$$(echo "$$OUT" | grep -c "^{\"terminal\":")" -eq 2; \
+		echo "$$OUT" | grep -q "^{\"terminal\":1,"; \
+		echo "$$OUT" | grep -q "^{\"terminal\":2,"'
 
 # Race-enabled membership chaos: kill/restart and leave/join of TCP nodes
 # mid-replay (state migrating over the wire), the ROUTER itself killed

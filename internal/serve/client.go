@@ -122,9 +122,11 @@ type NodeClient struct {
 
 	queue chan pendingLine
 
-	// mu guards the closing flag against sends.
+	// mu guards the closing flag against sends; closed closes with it,
+	// waking the idle writer.
 	mu      sync.RWMutex
 	closing bool
+	closed  chan struct{}
 	// connMu guards conn, the live connection, so Close can bound a
 	// blocked read or write with a deadline.
 	connMu sync.Mutex
@@ -199,10 +201,11 @@ func DialNode(addr string, cfg NodeClientConfig) (*NodeClient, error) {
 		cfg.ClientID = newClientID()
 	}
 	c := &NodeClient{
-		addr:  addr,
-		cfg:   cfg,
-		queue: make(chan pendingLine, cfg.QueueDepth),
-		down:  make(chan struct{}),
+		addr:   addr,
+		cfg:    cfg,
+		queue:  make(chan pendingLine, cfg.QueueDepth),
+		closed: make(chan struct{}),
+		down:   make(chan struct{}),
 	}
 	conn, err := c.dial()
 	if err != nil {
@@ -351,6 +354,7 @@ func (c *NodeClient) Close() error {
 		return ErrClientClosed
 	}
 	c.closing = true
+	close(c.closed)
 	c.mu.Unlock()
 	// Bound a write blocked against a stalled peer (and the read drain).
 	c.connMu.Lock()
@@ -490,47 +494,39 @@ func (c *NodeClient) writeLoop(conn net.Conn, readerDone <-chan struct{}) (finis
 			return false, err
 		}
 	}
-	idle := time.NewTimer(10 * time.Millisecond)
-	defer idle.Stop()
 	for {
 		select {
 		case p := <-c.queue:
 			if err := write(p); err != nil {
 				return false, err
 			}
+			continue
 		default:
-			if c.isClosing() {
-				// Queue empty and no new sends can start: done.  (A send
-				// that raced the closing flag enqueued before we read it
-				// here — the inner drain below catches it.)
-				select {
-				case p := <-c.queue:
-					if err := write(p); err != nil {
-						return false, err
-					}
-					continue
-				default:
-					return true, nil
-				}
-			}
-			// Idle: block until work, peer death or closing (reusable
-			// timer — this arm runs for the life of the connection).
-			if !idle.Stop() {
-				select {
-				case <-idle.C:
-				default:
-				}
-			}
-			idle.Reset(10 * time.Millisecond)
+		}
+		if c.isClosing() {
+			// Queue empty and no new sends can start: done.  (A send that
+			// raced the closing flag enqueued before we read it here — the
+			// inner drain catches it.)
 			select {
 			case p := <-c.queue:
 				if err := write(p); err != nil {
 					return false, err
 				}
-			case <-readerDone:
-				return false, errors.New("connection closed by peer")
-			case <-idle.C:
+				continue
+			default:
+				return true, nil
 			}
+		}
+		// Idle: block until work, peer death or Close (which closes
+		// closed right after flipping the flag checked above).
+		select {
+		case p := <-c.queue:
+			if err := write(p); err != nil {
+				return false, err
+			}
+		case <-readerDone:
+			return false, errors.New("connection closed by peer")
+		case <-c.closed:
 		}
 	}
 }

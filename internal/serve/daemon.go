@@ -14,10 +14,11 @@ import (
 // Daemon is the shared front-door scaffolding of the serving binaries
 // (hoserve above one engine, hocluster above a node router): newline-JSON
 // report ingest from stdin or TCP, one decision line back per report
-// through a DecisionMux, periodic sink flushing, and exclusive
-// per-connection terminal ownership with release on disconnect.  Keeping
-// the connection lifecycle here means both daemons share one teardown
-// ordering (drain, then release) instead of diverging copies.
+// through a DecisionMux, flushed as soon as the sink holds any, and
+// exclusive per-connection terminal ownership with release on
+// disconnect.  Keeping the connection lifecycle here means both daemons
+// share one teardown ordering (drain, then release) instead of diverging
+// copies.
 //
 // Connections may interleave control lines (see WireControl) with their
 // report stream: hello announces a connection identity so a reconnection
@@ -93,17 +94,11 @@ func (d *Daemon) init() {
 	})
 }
 
-// sinkFlushInterval is how often a connection's buffered decision
-// lines are pushed to the socket.  Control acks do not wait for it.
-const sinkFlushInterval = 50 * time.Millisecond
-
-// flushLoop periodically flushes a sink until stop closes.
+// flushLoop flushes a sink whenever its bell rings, until stop closes.
 func flushLoop(s *Sink, stop <-chan struct{}) {
-	t := time.NewTicker(sinkFlushInterval)
-	defer t.Stop()
 	for {
 		select {
-		case <-t.C:
+		case <-s.bell:
 			s.Flush()
 		case <-stop:
 			return
@@ -271,18 +266,8 @@ func (d *Daemon) serveConn(conn net.Conn) {
 		}
 	}
 
-	// Answer every control op at once rather than on the next flush
-	// tick: a migration's restore → release sequence waits on each ack.
-	// A rejected line (an unknown or malformed control op included) is
-	// answered too, so its error line is flushed the same way.
-	flushedCtl := func(c WireControl) error {
-		err := ctl(c)
-		out.Flush()
-		return err
-	}
-	IngestLines(conn, bnd, d.Submit, flushedCtl, func(line int, err error) {
+	IngestLines(conn, bnd, d.Submit, ctl, func(line int, err error) {
 		out.WriteError(fmt.Errorf("line %d: %w", line, err))
-		out.Flush()
 	})
 	if err := d.Drain(); err != nil {
 		out.WriteError(fmt.Errorf("drain: %w", err))

@@ -11,72 +11,109 @@ import (
 )
 
 // Sink serializes decision lines onto one writer — one per ingest
-// connection (or one for stdout).  After a write error the sink goes dead
-// and drops further output: a vanished client must not stall the shard
-// callbacks that feed it.
+// connection (or one for stdout).  Writers append encoded lines to a
+// pending buffer under mu; Flush swaps that buffer out and writes it
+// under wmu, so a shard goroutine delivering an outcome never waits on
+// a socket unless the pending buffer has reached sinkBufSize.  The
+// first line into an empty pending buffer rings bell, which the daemon's
+// flusher waits on: lines leave as soon as there are any, and every line
+// written while a flush is under way rides the next one.  After a write
+// error the sink goes dead and drops further output: a vanished client
+// must not stall the shard callbacks that feed it.
 type Sink struct {
-	mu  sync.Mutex
-	w   *bufio.Writer
-	buf []byte
-	err error
+	mu   sync.Mutex
+	pend []byte
+	err  error
+	bell chan struct{}
+
+	// wmu is held across the write to w; out is the buffer being
+	// written, owned by wmu's holder.
+	wmu sync.Mutex
+	w   io.Writer
+	out []byte
 }
+
+// sinkBufSize is the pending size past which a writer flushes inline
+// instead of leaving it to the flusher: backpressure onto the
+// decision callbacks when the client does not keep up.
+const sinkBufSize = 1 << 16
 
 // NewSink wraps w in a buffered decision sink.
 func NewSink(w io.Writer) *Sink {
-	return &Sink{w: bufio.NewWriterSize(w, 1<<16), buf: make([]byte, 0, 256)}
+	return &Sink{w: w, bell: make(chan struct{}, 1)}
 }
 
 // WriteOutcome encodes and writes one decision line.
 func (s *Sink) WriteOutcome(o Outcome) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return
-	}
-	s.buf = AppendOutcomeJSON(s.buf[:0], o)
-	if _, err := s.w.Write(s.buf); err != nil {
-		s.err = err
+	if b, ok := s.begin(); ok {
+		s.end(AppendOutcomeJSON(b, o))
 	}
 }
 
 // WriteControl encodes and writes one control line.
 func (s *Sink) WriteControl(c WireControl) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return
-	}
-	s.buf = AppendControlJSON(s.buf[:0], c)
-	if _, err := s.w.Write(s.buf); err != nil {
-		s.err = err
+	if b, ok := s.begin(); ok {
+		s.end(AppendControlJSON(b, c))
 	}
 }
 
 // WriteError writes one line-level `{"error":...}` message (the shape
 // ParseOutcomeLine decodes as *WireError).
 func (s *Sink) WriteError(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return
-	}
-	s.buf = append(s.buf[:0], `{"error":`...)
-	s.buf = appendJSONString(s.buf, err.Error())
-	s.buf = append(s.buf, '}', '\n')
-	if _, werr := s.w.Write(s.buf); werr != nil {
-		s.err = werr
+	if b, ok := s.begin(); ok {
+		b = appendJSONString(append(b, `{"error":`...), err.Error())
+		s.end(append(b, '}', '\n'))
 	}
 }
 
-// Flush pushes buffered lines to the underlying writer and returns the
-// sink's sticky error, if any.
-func (s *Sink) Flush() error {
+// begin locks mu and returns the pending buffer to append one line to,
+// ringing the bell if it is empty; a dead sink unlocks and reports false.
+func (s *Sink) begin() ([]byte, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err == nil {
-		s.err = s.w.Flush()
+	if s.err != nil {
+		s.mu.Unlock()
+		return nil, false
 	}
-	return s.err
+	if len(s.pend) == 0 {
+		select {
+		case s.bell <- struct{}{}:
+		default:
+		}
+	}
+	return s.pend, true
+}
+
+// end stores the appended pending buffer and unlocks mu, flushing inline
+// once the buffer is full.
+func (s *Sink) end(b []byte) {
+	s.pend = b
+	s.mu.Unlock()
+	if len(b) >= sinkBufSize {
+		s.Flush()
+	}
+}
+
+// Flush writes every line written before the call to the underlying
+// writer and returns the sink's sticky error, if any.
+func (s *Sink) Flush() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.Lock()
+	s.pend, s.out = s.out[:0], s.pend
+	err := s.err
+	s.mu.Unlock()
+	if err != nil || len(s.out) == 0 {
+		return err
+	}
+	if _, err = s.w.Write(s.out); err != nil {
+		s.mu.Lock()
+		s.err = err
+		s.mu.Unlock()
+	}
+	if cap(s.out) > 4*sinkBufSize {
+		s.out = nil // a snapshot chunk's size is not worth keeping
+	}
+	return err
 }
 
 // OwnershipError reports a terminal-ownership conflict: a connection
