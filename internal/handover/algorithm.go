@@ -29,8 +29,9 @@ type Decision struct {
 // Algorithm decides handovers from successive measurements.  Implementations
 // may keep state across epochs (e.g. time-to-trigger counters) and must
 // reset it in Reset; the simulator calls Reset once per run and after every
-// executed handover, and the serve engine calls it whenever a pooled
-// instance is (re)bound to a terminal's decision stream.
+// executed handover.  The serve engine never rebinds an instance per
+// terminal: each shard resets its one BatchScorer once, at construction,
+// and keeps per-terminal history in its own terminal state.
 //
 // Reset contract: after Reset, the instance must be indistinguishable from
 // a freshly constructed one for every future Decide call — no cross-epoch

@@ -136,9 +136,9 @@ func TestServeSteadyStateBytesPerShardCount(t *testing.T) {
 			}
 			return a
 		}}},
-		// trendfuzzy's stateful schema drives the stateful columnar paths;
-		// the 32-terminal cycling batch repeats terminals within sub-batches,
-		// so this pins the sequential one-row-frame fallback at 0 allocs too.
+		// trendfuzzy's stateful schema drives the stateful gather; the
+		// 32-terminal cycling batch repeats terminals within sub-batches,
+		// so this pins the frame cut at repeated terminals at 0 allocs too.
 		{"trendfuzzy", Config{AlgorithmFactory: func() handover.Algorithm {
 			a, err := handover.NewCompiledTrendFuzzy()
 			if err != nil {

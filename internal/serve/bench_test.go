@@ -90,7 +90,12 @@ func submitterBatches(submitters, batchLen, terminals int) [][]Report {
 // configuration so ingest is never the bottleneck, and the warm-up builds
 // the full buffer population so the timed region is true steady state.
 func benchServeShards(b *testing.B, e *Engine) {
-	batches := submitterBatches(4, 512, 256)
+	benchServeBatches(b, e, submitterBatches(4, 512, 256))
+}
+
+// benchServeBatches warms the engine on batches, then times b.N reports
+// of them and reports the decision rate.
+func benchServeBatches(b *testing.B, e *Engine, batches [][]Report) {
 	warmEngine(b, e, batches)
 	before := e.Stats().Totals().Decisions
 	b.ReportAllocs()
@@ -155,6 +160,34 @@ func BenchmarkServeAdaptive(b *testing.B) {
 				},
 			})
 			benchServeShards(b, e)
+		})
+	}
+}
+
+// BenchmarkServeTrend serves the 4-input trendfuzzy controller on its
+// compiled kernel from one shard: the stateful-schema path, where decide
+// cuts a sub-batch into frames at repeated terminals.  The interleaved
+// order cycles 64 terminals per submitter, so each sub-batch holds every
+// terminal once and scores as one frame; the contiguous order sends each
+// terminal runs of 8 adjacent reports, so frames hold one or two rows.
+func BenchmarkServeTrend(b *testing.B) {
+	factory, err := handover.AlgorithmFactoryFor("trendfuzzy", true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, order := range []struct {
+		name string
+		run  int
+	}{{"interleaved", 1}, {"contiguous", 8}} {
+		b.Run(order.name, func(b *testing.B) {
+			batches := submitterBatches(4, 512, 256)
+			for s, batch := range batches {
+				for i := range batch {
+					batch[i].Terminal = TerminalID(s*1_000_000 + (i/order.run)%64)
+				}
+			}
+			e := benchEngineCfg(b, Config{Shards: 1, QueueDepth: benchQueueDepth, AlgorithmFactory: factory})
+			benchServeBatches(b, e, batches)
 		})
 	}
 }

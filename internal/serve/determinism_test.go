@@ -2,9 +2,13 @@ package serve
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/cell"
 	"repro/internal/handover"
+	"repro/internal/hexgrid"
 	"repro/internal/sim"
 )
 
@@ -200,10 +204,12 @@ func TestDeterminismTrendFuzzy(t *testing.T) {
 	}
 }
 
-// TestDeterminismTrendFuzzySequentialBatches covers the stateful repeat
-// fallback: submitting each terminal's stream contiguously puts repeated
-// terminals inside single sub-batches, forcing processStatefulSequential's
-// one-row frames — whose decisions must still match the sim reference.
+// TestDeterminismTrendFuzzySequentialBatches submits each terminal's
+// stream contiguously, so repeated terminals share sub-batches and the
+// stateful frame cut serves them; decisions must still match the sim
+// reference.  The trend fleet's few handovers are followed by rows the
+// POTLC gate settles, so TestStatefulFrameCutMatchesPerReport is what
+// pins the cut itself.
 func TestDeterminismTrendFuzzySequentialBatches(t *testing.T) {
 	factory, err := handover.AlgorithmFactoryFor("trendfuzzy", true)
 	if err != nil {
@@ -240,45 +246,131 @@ func TestDeterminismTrendFuzzySequentialBatches(t *testing.T) {
 	checkAgainstSim(t, rec, results, 4)
 }
 
-// TestDeterminismPerTerminalAlgorithms covers the stateful-algorithm mode:
-// per-terminal HysteresisTTT instances must reproduce the sim sequences,
-// streak state and all, under concurrent sharding.
-func TestDeterminismPerTerminalAlgorithms(t *testing.T) {
-	factory := func() handover.Algorithm { return handover.NewHysteresisTTT(3, 2) }
-	cfgs := paperFleetConfigs()
-	for i := range cfgs {
-		cfgs[i].AlgorithmFactory = factory
+// trendChurnStreams is a seeded stateful-schema workload that hands over
+// often.  Every report sits below the POTLC gate (serving under −75 dB),
+// so the trend FLC and the PRTLC decide each one, and a terminal's
+// reports hop at random between two cells: the row after an executed
+// handover either confirms the new attachment or reattaches the terminal
+// externally, and both reset its SSN-trend derivation mid-stream.
+func trendChurnStreams(terminals, reports int, seed int64) [][]Report {
+	rng := rand.New(rand.NewSource(seed))
+	cells := [2]hexgrid.Cell{{I: 0, J: 0}, {I: 1, J: 0}}
+	streams := make([][]Report, terminals)
+	for id := range streams {
+		stream := make([]Report, reports)
+		walked := 0.0
+		for j := range stream {
+			k := rng.Intn(2)
+			walked += 0.05
+			stream[j] = Report{Terminal: TerminalID(id), Meas: cell.Measurement{
+				WalkedKm:   walked,
+				Serving:    cells[k],
+				Neighbor:   cells[1-k],
+				ServingDB:  -76 - 20*rng.Float64(),
+				CSSPdB:     -8 + 10*rng.Float64(),
+				NeighborDB: -100 + 20*rng.Float64(),
+				DMBNorm:    0.4 + rng.Float64(),
+				SpeedKmh:   30,
+			}}
+		}
+		streams[id] = stream
 	}
-	streams, results := simStreams(t, cfgs)
-	reports := InterleaveReports(streams)
+	return streams
+}
 
-	rec := newRecorder(len(cfgs))
-	e, err := New(Config{
-		Shards:                4,
-		QueueDepth:            64,
-		AlgorithmFactory:      factory,
-		PerTerminalAlgorithms: true,
-		PingPongWindowKm:      sim.DefaultPingPongWindowKm,
-		OnDecision:            rec.record,
-	})
+// TestStatefulFrameCutMatchesPerReport pins the stateful frame cut: a
+// trendfuzzy sub-batch that repeats terminals must decide exactly as the
+// same reports submitted one at a time.  A frame holding two rows of one
+// terminal would gather the second row before the first one's commit —
+// before a mid-batch handover resets the trend — so every outcome
+// (verdict, score bits, execution, ping-pong, seq) is compared.  The
+// contiguous order repeats each terminal in adjacent rows; the
+// interleaved order repeats them through the routing table's bucket
+// chains, where the cut needs each terminal's latest earlier row.
+func TestStatefulFrameCutMatchesPerReport(t *testing.T) {
+	factory, err := handover.AlgorithmFactoryFor("trendfuzzy", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
+	streams := trendChurnStreams(8, 200, 15)
+	var contiguous []Report
+	for _, s := range streams {
+		contiguous = append(contiguous, s...)
 	}
-	if err := e.SubmitBatch(reports); err != nil {
-		t.Fatal(err)
+	run := func(reports []Report, batch bool) (recorder, uint64) {
+		t.Helper()
+		rec := newRecorder(len(streams))
+		e, err := New(Config{Shards: 1, QueueDepth: 64, AlgorithmFactory: factory, OnDecision: rec.record})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if batch {
+			err = e.SubmitBatch(reports)
+		} else {
+			for _, r := range reports {
+				if err = e.Submit(r); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Flush()
+		if err := e.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		return rec, e.Stats().Totals().Handovers
 	}
-	e.Flush()
-	if err := e.Stop(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		reports []Report
+	}{
+		{"contiguous", contiguous},
+		{"interleaved", InterleaveReports(streams)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, handovers := run(tc.reports, false)
+			// Without frequent mid-stream handovers the cut is never
+			// exercised: the POTLC gate would settle the repeats anyway.
+			if handovers < 100 {
+				t.Fatalf("per-report reference executed %d handovers; the workload no longer churns", handovers)
+			}
+			got, _ := run(tc.reports, true)
+			mismatches := 0
+			for id, w := range want {
+				g := *got[id]
+				if len(g) != len(*w) {
+					t.Fatalf("terminal %d: %d batch outcomes, %d per-report", id, len(g), len(*w))
+				}
+				for j, o := range *w {
+					if g[j] != o {
+						if mismatches < 3 {
+							t.Errorf("terminal %d report %d: batch %+v, per-report %+v", id, j, g[j], o)
+						}
+						mismatches++
+					}
+				}
+			}
+			if mismatches > 0 {
+				t.Errorf("%d of %d outcomes differ from per-report submission (%d handovers)", mismatches, len(tc.reports), handovers)
+			}
+		})
 	}
-	checkAgainstSim(t, rec, results, 4)
+}
 
-	// The probe is only meaningful if the TTT baseline actually fires
-	// somewhere in the fleet.
-	if e.Stats().Totals().Handovers == 0 {
-		t.Error("TTT fleet executed no handovers; streak state never exercised")
+// TestNewRejectsNonBatchScorer pins the serving contract: every report
+// is decided through the frame pipeline, so an algorithm without a frame
+// path is refused at construction, by name.
+func TestNewRejectsNonBatchScorer(t *testing.T) {
+	_, err := New(Config{Shards: 2, AlgorithmFactory: func() handover.Algorithm { return handover.NewHysteresisTTT(3, 2) }})
+	if err == nil {
+		t.Fatal("New accepted an algorithm that is not a BatchScorer")
+	}
+	if name := handover.NewHysteresisTTT(3, 2).Name(); !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "BatchScorer") {
+		t.Fatalf("error %q does not name the algorithm %q and the BatchScorer requirement", err, name)
 	}
 }

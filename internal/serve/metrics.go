@@ -57,7 +57,9 @@ type engineMetrics struct {
 	// service is the dequeue→done time of one sub-batch: decision kernel
 	// plus outcome delivery (OnDecision callbacks).
 	service *obs.Histogram
-	// score is the columnar ScoreFrame kernel time of one sub-batch.
+	// score is the ScoreFrame kernel time of one frame: the whole
+	// sub-batch, or one piece of it where a stateful schema cuts frames
+	// at repeated terminals.
 	score *obs.Histogram
 	// snapshot/restore are whole-call durations of the snapshot /
 	// migration control plane.
@@ -277,7 +279,7 @@ func (e *Engine) TracesSampled() uint64 {
 // captureTrace records one sampled decision, re-running the explainable
 // part of the pipeline for the rationale.  This path allocates by design
 // — it runs once every TraceEvery decisions, never in between.
-func (s *shard) captureTrace(r *Report, algo handover.Algorithm, dec *handover.Decision, err error, executed, pingPong bool, seq uint64) {
+func (s *shard) captureTrace(r *Report, dec *handover.Decision, err error, executed, pingPong bool, seq uint64) {
 	start := time.Now()
 	tr := DecisionTrace{
 		Terminal: r.Terminal,
@@ -295,7 +297,7 @@ func (s *shard) captureTrace(r *Report, algo handover.Algorithm, dec *handover.D
 	if err != nil {
 		tr.Err = err.Error()
 	}
-	if ex, ok := algo.(handover.Explainer); ok {
+	if ex, ok := s.scorer.(handover.Explainer); ok {
 		if text, ok := ex.Explain(r.Meas); ok {
 			tr.FLC = text
 		}

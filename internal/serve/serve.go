@@ -80,16 +80,13 @@ type Config struct {
 	// selects DefaultQueueDepth; negative is invalid.
 	QueueDepth int
 	// AlgorithmFactory builds the decision algorithm (nil: the paper's
-	// fuzzy controller).  It is called once per shard — or once per
-	// terminal when PerTerminalAlgorithms is set — and must be safe to
-	// call from multiple goroutines.
+	// fuzzy controller).  It is called once per shard, and every terminal
+	// of the shard is decided by that one instance through the frame
+	// pipeline, so the algorithm must be a handover.BatchScorer (New
+	// rejects anything else) whose per-terminal state, if any, lives in
+	// the schema's derived state rather than in the instance.  The
+	// factory must be safe to call from multiple goroutines.
 	AlgorithmFactory func() handover.Algorithm
-	// PerTerminalAlgorithms gives every terminal its own algorithm
-	// instance instead of sharing one per shard.  Required for
-	// algorithms with cross-epoch state (e.g. HysteresisTTT's streak
-	// counter); the paper's fuzzy controller is stateless across epochs
-	// and serves all of a shard's terminals from one instance.
-	PerTerminalAlgorithms bool
 	// Compiled serves decisions from the compiled control surface: the
 	// default fuzzy controller is built around the process-wide compiled
 	// kernel (core.DefaultCompiledFLC) instead of per-decision Mamdani
@@ -195,9 +192,6 @@ func (s *shard) putBuf(b *[]Report) {
 // (which drains the queues) when done.  An Engine cannot be restarted.
 type Engine struct {
 	shards []*shard
-	// perTerminal mirrors Config.PerTerminalAlgorithms: snapshot APIs are
-	// refused in that mode (algorithm-internal state is not capturable).
-	perTerminal bool
 	// staging recycles the per-call shard→sub-batch scatter tables of
 	// SubmitBatch on a bounded free list (same GC-immunity rationale as
 	// bufPool).
@@ -265,11 +259,23 @@ func New(cfg Config) (*Engine, error) {
 	} else if cfg.Compiled {
 		return nil, fmt.Errorf("serve: Compiled applies to the default algorithm only; compile inside the custom AlgorithmFactory instead")
 	}
+	// Every report is decided through the frame pipeline, so each shard's
+	// algorithm must score whole frames: the paper's fuzzy controller
+	// (exact or compiled) and its schema extensions all do.
+	scorers := make([]handover.BatchScorer, nshards)
+	for i := range scorers {
+		algo := factory()
+		bs, ok := algo.(handover.BatchScorer)
+		if !ok {
+			return nil, fmt.Errorf("serve: algorithm %q is not a handover.BatchScorer; the engine decides every report through the frame pipeline", algo.Name())
+		}
+		bs.Reset()
+		scorers[i] = bs
+	}
 	e := &Engine{
-		shards:      make([]*shard, nshards),
-		perTerminal: cfg.PerTerminalAlgorithms,
-		staging:     make(chan []*[]Report, 2*nshards+8),
-		epoch:       time.Now(),
+		shards:  make([]*shard, nshards),
+		staging: make(chan []*[]Report, 2*nshards+8),
+		epoch:   time.Now(),
 	}
 	if cfg.Metrics != nil {
 		e.metrics = newEngineMetrics(cfg.Metrics, cfg.MetricsLabels)
@@ -283,7 +289,7 @@ func New(cfg Config) (*Engine, error) {
 		e.traces = newTraceRing(bufSize)
 	}
 	for i := range e.shards {
-		s := &shard{
+		e.shards[i] = &shard{
 			id:         i,
 			in:         make(chan shardMsg, depth),
 			free:       make(chan *[]Report, depth+16),
@@ -294,40 +300,20 @@ func New(cfg Config) (*Engine, error) {
 			epoch:      e.epoch,
 			traceEvery: cfg.TraceEvery,
 			traces:     e.traces,
+			scorer:     scorers[i],
+			stateful:   scorers[i].Schema().Stateful(),
+			cols:       newBatchCols(scorers[i].Schema()),
 		}
-		if cfg.PerTerminalAlgorithms {
-			s.newAlgo = factory
-		} else {
-			s.algo = factory()
-			s.algo.Reset()
-			// The columnar batch pipeline engages when the shared
-			// algorithm can score whole sub-batches (the paper's fuzzy
-			// controller, exact or compiled, and the schema extensions).
-			if bs, ok := s.algo.(handover.BatchScorer); ok {
-				s.scorer = bs
-				s.stateful = bs.Schema().Stateful()
-				s.cols = newBatchCols(bs.Schema())
-			}
-		}
-		e.shards[i] = s
 	}
 	// The engine's schema hash is what cluster peers compare in the hello
-	// exchange: algorithms that don't declare a schema score the paper's
-	// three wire antecedents, so they interoperate under the paper hash.
-	e.schemaHash = handover.PaperFeatureSchema().Hash()
-	if cfg.PerTerminalAlgorithms {
-		if bs, ok := factory().(handover.BatchScorer); ok {
-			e.schemaHash = bs.Schema().Hash()
-		}
-	} else if e.shards[0].scorer != nil {
-		e.schemaHash = e.shards[0].scorer.Schema().Hash()
-	}
+	// exchange.
+	e.schemaHash = scorers[0].Schema().Hash()
 	return e, nil
 }
 
 // SchemaHash identifies the feature schema this engine's decisions
 // consume (handover.FeatureSchema.Hash of the scoring algorithm's
-// schema; the paper schema's hash for schema-less algorithms).  Cluster
+// schema).  Cluster
 // peers exchange it in the hello control line and refuse mismatched
 // nodes, so a mixed-schema cluster fails fast instead of mis-scoring.
 func (e *Engine) SchemaHash() uint64 { return e.schemaHash }

@@ -403,7 +403,7 @@ func TestExternalReattachmentColumnar(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One SubmitBatch of two reports for one shard: a single sub-batch of
-	// length 2, which run() routes through processColumnar.
+	// length 2, decided as one frame.
 	if err := e.SubmitBatch([]Report{r1, r2}); err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,6 @@ type hoEvent struct {
 // single-threaded sim path keeps in its Measurer/algorithm/detector,
 // reduced to what streamed reports cannot carry themselves.
 type terminal struct {
-	// algo is the terminal-private algorithm (PerTerminalAlgorithms
-	// mode); nil means the shard's shared instance decides.
-	algo handover.Algorithm
 	// seq counts reports served for this terminal.
 	seq uint64
 	// prevDB/havePrev mirror Measurer.PrevServingDB: the serving power
@@ -35,8 +32,8 @@ type terminal struct {
 	prevDB   float64
 	havePrev bool
 	// derived is the per-terminal state stateful schema features extract
-	// from (the SSN trend derivation); reset exactly where the algorithm
-	// is: executed handovers and external reattachments.
+	// from (the SSN trend derivation); reset where the sim path resets its
+	// algorithm: executed handovers and external reattachments.
 	derived handover.DerivedState
 	// serving tracks the attachment the engine believes the terminal
 	// holds (updated on executed handovers, corrected from reports).
@@ -103,9 +100,12 @@ const _ uint = 127 - maxSubBatch
 type batchCols struct {
 	frame *handover.FeatureFrame
 	// slots holds the sub-batch's resolved terminal state, one entry per
-	// report; head/next are the grouping table of routeBatch (bucket
-	// heads and chain links over report indexes, -1 terminated).
+	// report, and prev the index of the terminal's previous report in the
+	// sub-batch (-1 for its first); head/next are the grouping table of
+	// routeBatch (bucket heads and chain links over report indexes,
+	// latest first, -1 terminated).
 	slots []*terminal
+	prev  [maxSubBatch]int8
 	head  [routeBuckets]int8
 	next  [maxSubBatch]int8
 }
@@ -148,15 +148,10 @@ type shard struct {
 	// over dense slabs (see terminalStore) whose pointers stay stable
 	// across growth.
 	store *terminalStore
-	// algo is the shared per-shard instance; newAlgo, when non-nil,
-	// builds per-terminal instances instead.
-	algo    handover.Algorithm
-	newAlgo func() handover.Algorithm
-	// scorer is algo's BatchScorer view, non-nil when the shared
-	// algorithm supports the columnar batch pipeline; stateful mirrors
-	// scorer.Schema().Stateful() — such scorers must see every report
-	// through the frame path (the gather advances per-terminal derived
-	// state), so the per-report Decide shortcut is disabled for them.
+	// scorer is the shard's one algorithm instance, shared by all of its
+	// terminals; stateful mirrors scorer.Schema().Stateful() — the gather
+	// then advances per-terminal derived state, so decide cuts frames at
+	// repeated terminals.
 	scorer   handover.BatchScorer
 	stateful bool
 	cols     *batchCols
@@ -222,13 +217,7 @@ func (s *shard) run() {
 			}
 		}
 		batch := msg.batch
-		if s.scorer != nil && (len(*batch) > 1 || s.stateful) {
-			s.processColumnar(*batch)
-		} else {
-			for i := range *batch {
-				s.process(&(*batch)[i])
-			}
-		}
+		s.decide(*batch)
 		s.processed.Add(uint64(len(*batch)))
 		if m := s.metrics; m != nil {
 			if s.stageSample {
@@ -240,119 +229,73 @@ func (s *shard) run() {
 	}
 }
 
-// processColumnar serves one sub-batch through the columnar pipeline:
-// routeBatch resolves every report's terminal slot up front, the
-// measurements are gathered into the scorer's FeatureFrame by its
-// declared schema, the history-free decision stages (POTLC gate, FLC
-// score, and — for adaptive scorers — the speed-dependent threshold) run
-// over the whole frame in one BatchScorer call — through the compiled
-// control surface's EvaluateBatch when the controller is compiled — and
-// the stateful remainder completes per report, in order, against each
-// resolved slot.  Per-terminal decision sequences are identical to the
-// per-report path: for stateless schemas the batched stages depend only
-// on the measurement, and for stateful schemas the gather advances each
-// terminal's derived state in report order — falling back to one report
-// at a time (processStatefulSequential) when a terminal repeats within
-// the sub-batch, because a mid-batch executed handover resets that
-// terminal's derivation and its later rows must be gathered after the
-// reset.
+// decide serves one sub-batch — the shard's only decision path.
+// routeBatch resolves every report's terminal slot up front; then, frame
+// by frame, the measurements are gathered into the scorer's FeatureFrame
+// by its declared schema, the history-free decision stages (POTLC gate,
+// FLC score, and — for adaptive scorers — the speed-dependent threshold)
+// run over the whole frame in one ScoreFrame call, and DecideScored and
+// commit complete each row in report order against its resolved slot.
+//
+// A stateless schema scores the whole sub-batch as one frame: its scored
+// stages depend only on the measurement, so a terminal's later rows need
+// not wait for its earlier commits.  A stateful schema's gather reads and
+// advances the terminal's derived state, and an executed handover resets
+// that state mid-batch, so its sub-batch is cut into frames that never
+// hold two rows of one terminal: a new frame starts at the first repeat,
+// and each repeat is gathered after the previous row's commit.
 //
 //fuzzyho:hotpath
-func (s *shard) processColumnar(batch []Report) {
-	n := len(batch)
+func (s *shard) decide(batch []Report) {
 	c := s.cols
-	hasDup := s.routeBatch(batch)
-	if s.stateful && hasDup {
-		s.processStatefulSequential(batch)
-		return
-	}
 	f := c.frame
-	f.Reset(n)
-	if s.stateful {
-		// Stateful features read per-terminal derived state: apply the
-		// reattachment correction before extraction so the derivation
-		// restarts exactly where the per-report path restarts it.
-		for i := range batch {
-			r := &batch[i]
-			t := c.slots[i]
-			s.observe(r, t)
-			f.Gather(i, &r.Meas, r.Ext, &t.derived)
-		}
-	} else {
-		for i := range batch {
-			r := &batch[i]
-			f.Gather(i, &r.Meas, r.Ext, nil)
-		}
-	}
-	var scoreStart int64
-	sampled := s.metrics != nil && s.stageSample
-	if sampled {
-		scoreStart = int64(time.Since(s.epoch))
-	}
-	err := s.scorer.ScoreFrame(f)
-	if sampled {
-		s.metrics.score.Observe(uint64(int64(time.Since(s.epoch)) - scoreStart))
-	}
-	if err != nil {
-		// Schema errors cannot happen with shard-owned frames; recover
-		// rather than dropping the sub-batch.  The stateless fallback
-		// re-decides per report; a stateful schema's derivation has
-		// already advanced, so its reports commit as algorithm errors.
-		if s.stateful {
-			for i := range batch {
-				s.commit(&batch[i], c.slots[i], s.algo, handover.Decision{}, err)
+	stateful := s.stateful
+	s.routeBatch(batch)
+	for lo, hi := 0, 0; lo < len(batch); lo = hi {
+		hi = len(batch)
+		if stateful {
+			hi = lo + 1
+			for hi < len(batch) && int(c.prev[hi]) < lo {
+				hi++
 			}
-			return
 		}
-		for i := range batch {
-			s.process(&batch[i])
+		rows, slots := batch[lo:hi], c.slots[lo:hi]
+		f.Reset(len(rows))
+		for i := range rows {
+			r, t := &rows[i], slots[i]
+			if stateful {
+				// Apply the reattachment correction before extraction so
+				// the derivation restarts exactly where a handover would
+				// restart it.
+				s.observe(r, t)
+				f.Gather(i, &r.Meas, r.Ext, &t.derived)
+			} else {
+				f.Gather(i, &r.Meas, r.Ext, nil)
+			}
 		}
-		return
-	}
-	if s.stateful {
-		// observe already ran during the gather.
-		for i := range batch {
-			r := &batch[i]
-			t := c.slots[i]
-			dec, derr := s.scorer.DecideScored(&r.Meas, t.prevDB, t.havePrev, f.HD[i], f.Status[i])
-			s.commit(r, t, s.algo, dec, derr)
+		var scoreStart int64
+		sampled := s.metrics != nil && s.stageSample
+		if sampled {
+			scoreStart = int64(time.Since(s.epoch))
 		}
-		return
-	}
-	for i := range batch {
-		r := &batch[i]
-		t := c.slots[i]
-		s.observe(r, t)
-		dec, derr := s.scorer.DecideScored(&r.Meas, t.prevDB, t.havePrev, f.HD[i], f.Status[i])
-		s.commit(r, t, s.algo, dec, derr)
-	}
-}
-
-// processStatefulSequential serves a sub-batch with repeated terminals
-// for a stateful schema one report at a time through a 1-row frame: a
-// mid-batch executed handover resets the terminal's derived state, and
-// the terminal's next report must be gathered after that reset — exactly
-// the scalar path's ordering.  Distinct-terminal sub-batches (the normal
-// multi-terminal load shape) take the whole-frame path instead.
-//
-//fuzzyho:hotpath
-func (s *shard) processStatefulSequential(batch []Report) {
-	c := s.cols
-	f := c.frame
-	for i := range batch {
-		r := &batch[i]
-		t := c.slots[i]
-		s.observe(r, t)
-		f.Reset(1)
-		f.Gather(0, &r.Meas, r.Ext, &t.derived)
-		var dec handover.Decision
-		var derr error
-		if err := s.scorer.ScoreFrame(f); err != nil {
-			derr = err
-		} else {
-			dec, derr = s.scorer.DecideScored(&r.Meas, t.prevDB, t.havePrev, f.HD[0], f.Status[0])
+		// Shard-owned frames are built from the scorer's own schema, so
+		// ScoreFrame cannot fail on them; should it, every row of the
+		// frame commits as an algorithm error rather than being dropped.
+		err := s.scorer.ScoreFrame(f)
+		if sampled {
+			s.metrics.score.Observe(uint64(int64(time.Since(s.epoch)) - scoreStart))
 		}
-		s.commit(r, t, s.algo, dec, derr)
+		for i := range rows {
+			r, t := &rows[i], slots[i]
+			if !stateful {
+				s.observe(r, t)
+			}
+			dec, derr := handover.Decision{}, err
+			if err == nil {
+				dec, derr = s.scorer.DecideScored(&r.Meas, t.prevDB, t.havePrev, f.HD[i], f.Status[i])
+			}
+			s.commit(r, t, dec, derr)
+		}
 	}
 }
 
@@ -362,64 +305,53 @@ func (s *shard) processStatefulSequential(batch []Report) {
 // L1-resident shortcuts: a run of adjacent reports for one terminal
 // reuses the previous slot directly, and non-adjacent repeats (a
 // population cycling through the batch) hit a small hash-bucket grouping
-// table chained over the sub-batch's first occurrences.  Only the slot
-// pointers are resolved here — the reattachment correction and state
-// commits stay in the per-report completion loop, in report order, so
-// per-terminal sequences are untouched.
+// table chained over the sub-batch's reports.  Only the slot pointers
+// are resolved here — the reattachment correction and state commits stay
+// in decide's per-row completion, in report order, so per-terminal
+// sequences are untouched.
 //
-// It reports whether any terminal repeats within the sub-batch — the
-// signal the stateful-schema path uses to fall back to sequential
-// gathering.
+// It also records each report's previous report of the same terminal in
+// prev, which decide cuts stateful frames by.  Every report is pushed at
+// the head of its bucket's chain, so the first match a repeat finds is
+// the terminal's latest occurrence, not its first.
 //
 //fuzzyho:hotpath
-func (s *shard) routeBatch(batch []Report) bool {
+func (s *shard) routeBatch(batch []Report) {
 	c := s.cols
-	hasDup := false
 	for i := range c.head {
 		c.head[i] = -1
 	}
+	// b carries the previous report's bucket into an adjacent run: the
+	// same terminal hashes to the same bucket.
+	var b uint64
 	for i := range batch {
 		id := batch[i].Terminal
 		if i > 0 && batch[i-1].Terminal == id {
 			c.slots[i] = c.slots[i-1]
-			hasDup = true
-			continue
-		}
-		h := mix64(uint64(id))
-		// Bucket on high hash bits: shard selection consumed the low
-		// ones, and within one shard those are correlated.
-		b := (h >> 32) & (routeBuckets - 1)
-		dup := false
-		for j := c.head[b]; j >= 0; j = c.next[j] {
-			if batch[j].Terminal == id {
+			c.prev[i] = int8(i - 1)
+		} else {
+			h := mix64(uint64(id))
+			// Bucket on high hash bits: shard selection consumed the low
+			// ones, and within one shard those are correlated.
+			b = (h >> 32) & (routeBuckets - 1)
+			j := c.head[b]
+			for j >= 0 && batch[j].Terminal != id {
+				j = c.next[j]
+			}
+			c.prev[i] = j
+			if j >= 0 {
 				c.slots[i] = c.slots[j]
-				dup = true
-				break
+			} else {
+				t, created := s.store.acquire(id, h)
+				if created {
+					s.nTerminals.Add(1)
+				}
+				c.slots[i] = t
 			}
 		}
-		if dup {
-			hasDup = true
-			continue
-		}
-		t, created := s.store.acquire(id, h)
-		if created {
-			//fuzzyho:allow creation path: runs once per terminal lifetime (and may build a per-terminal algorithm); steady state resolves existing slots only
-			s.initTerminal(t)
-		}
-		c.slots[i] = t
 		c.next[i] = c.head[b]
 		c.head[b] = int8(i)
 	}
-	return hasDup
-}
-
-// initTerminal completes a freshly created (zero-valued) terminal slot.
-func (s *shard) initTerminal(t *terminal) {
-	if s.newAlgo != nil {
-		t.algo = s.newAlgo()
-		t.algo.Reset()
-	}
-	s.nTerminals.Add(1)
 }
 
 // observe applies the external-reattachment correction and records the
@@ -434,48 +366,15 @@ func (s *shard) observe(r *Report, t *terminal) {
 		// does after an engine-decided handover.
 		t.havePrev = false
 		t.derived.Reset()
-		if t.algo != nil {
-			t.algo.Reset()
-		} else {
-			s.algo.Reset()
-		}
 	}
 	t.serving, t.haveServing = r.Meas.Serving, true
-}
-
-// route finds (or creates) the terminal state for a report and applies the
-// external-reattachment correction.
-//
-//fuzzyho:hotpath
-func (s *shard) route(r *Report) *terminal {
-	t, created := s.store.acquire(r.Terminal, mix64(uint64(r.Terminal)))
-	if created {
-		//fuzzyho:allow creation path: runs once per terminal lifetime (and may build a per-terminal algorithm); steady state resolves existing slots only
-		s.initTerminal(t)
-	}
-	s.observe(r, t)
-	return t
-}
-
-// process serves one report on the per-report path: route, decide on the
-// fast path, commit.  Steady state (known terminal) allocates nothing.
-//
-//fuzzyho:hotpath
-func (s *shard) process(r *Report) {
-	t := s.route(r)
-	algo := s.algo
-	if t.algo != nil {
-		algo = t.algo
-	}
-	dec, err := algo.Decide(r.Meas, t.prevDB, t.havePrev)
-	s.commit(r, t, algo, dec, err)
 }
 
 // commit applies one decision to the terminal's state, updates counters
 // and delivers the outcome.
 //
 //fuzzyho:hotpath
-func (s *shard) commit(r *Report, t *terminal, algo handover.Algorithm, dec handover.Decision, err error) {
+func (s *shard) commit(r *Report, t *terminal, dec handover.Decision, err error) {
 	m := &r.Meas
 	executed := false
 	pingPong := false
@@ -498,7 +397,6 @@ func (s *shard) commit(r *Report, t *terminal, algo handover.Algorithm, dec hand
 		t.serving = m.Neighbor
 		t.havePrev = false
 		t.derived.Reset()
-		algo.Reset()
 	}
 	if !executed {
 		// No-handover epochs — including algorithm errors, which are
@@ -517,7 +415,7 @@ func (s *shard) commit(r *Report, t *terminal, algo handover.Algorithm, dec hand
 		if s.traceSkip >= s.traceEvery {
 			s.traceSkip = 0
 			//fuzzyho:allow sampled tracing: reached once per traceEvery decisions by construction of the countdown above, and the ring slot is preallocated
-			s.captureTrace(r, algo, &dec, err, executed, pingPong, seq)
+			s.captureTrace(r, &dec, err, executed, pingPong, seq)
 		}
 	}
 	if s.onDecision != nil {

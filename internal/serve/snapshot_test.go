@@ -298,20 +298,6 @@ func TestSnapshotAPISemantics(t *testing.T) {
 	if err := e.RestoreSnapshots(ext); err != nil {
 		t.Fatalf("restore after extract: %v", err)
 	}
-
-	pt, err := New(Config{Shards: 1, PerTerminalAlgorithms: true,
-		AlgorithmFactory: func() handover.Algorithm { return handover.NewHysteresisTTT(3, 2) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt.Start()
-	defer pt.Stop()
-	if _, err := pt.SnapshotTerminals(); !errors.Is(err, ErrStatefulAlgorithms) {
-		t.Errorf("SnapshotTerminals on per-terminal engine: %v", err)
-	}
-	if err := pt.RestoreSnapshots(snaps[:1]); !errors.Is(err, ErrStatefulAlgorithms) {
-		t.Errorf("RestoreSnapshots on per-terminal engine: %v", err)
-	}
 }
 
 // TestTwoPhasePrimitives pins the copy/commit/replay primitives a
